@@ -105,12 +105,12 @@ namespace {
 
 // Debug-time guard on wait masks: empty masks never wake, and all-bits
 // masks include level-triggered kEventSendSpace, which turns the wait into
-// a spin-poll (the PR 6 workload bug). Callers must name what they consume.
+// a spin-poll. Callers must name what they consume.
 inline void assert_explicit_mask([[maybe_unused]] std::uint32_t mask) {
   assert(mask != kEventNone && "wait_events: empty mask would never wake");
   assert(mask != 0xffffffffu &&
-         "wait_events: kEventAll spin-polls on level-triggered send-space; "
-         "wait on an explicit mask (e.g. kEventArrivals)");
+         "wait_events: an all-bits mask spin-polls on level-triggered "
+         "send-space; wait on an explicit mask (e.g. kEventArrivals)");
 }
 
 }  // namespace

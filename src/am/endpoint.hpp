@@ -42,12 +42,6 @@ enum EventMask : std::uint32_t {
   /// What a serving/draining loop consumes: deliveries and returns. This
   /// is the mask for "wake me when poll() would find something".
   kEventArrivals = kEventReceive | kEventReturned,
-  /// Deprecated: an all-bits mask includes level-triggered kEventSendSpace
-  /// and turns the wait into a silent spin-poll (the PR 6 workload bug).
-  /// wait_events() rejects it; name the conditions you consume instead.
-  kEventAll [[deprecated(
-      "blanket masks spin-poll on level-triggered send-space; wait on an "
-      "explicit mask (e.g. kEventArrivals)")]] = 0xffffffffu,
 };
 
 /// The user-level communication endpoint — the core abstraction of the

@@ -223,29 +223,40 @@ std::string render_table(const Snapshot& snap, const std::string& prefix,
 
 Counter MetricsRegistry::counter(const std::string& name) {
   auto [it, inserted] = counter_index_.try_emplace(name, counter_cells_.size());
-  if (inserted) counter_cells_.push_back(0);
+  if (inserted) {
+    counter_cells_.push_back(0);
+    ++generation_;
+  }
   return Counter(&counter_cells_[it->second]);
 }
 
 Gauge MetricsRegistry::gauge(const std::string& name) {
   auto [it, inserted] = gauge_index_.try_emplace(name, gauge_cells_.size());
-  if (inserted) gauge_cells_.push_back(0.0);
+  if (inserted) {
+    gauge_cells_.push_back(0.0);
+    ++generation_;
+  }
   return Gauge(&gauge_cells_[it->second]);
 }
 
 Histogram MetricsRegistry::histogram(const std::string& name) {
   auto [it, inserted] = hist_index_.try_emplace(name, hist_cells_.size());
-  if (inserted) hist_cells_.emplace_back();
+  if (inserted) {
+    hist_cells_.emplace_back();
+    ++generation_;
+  }
   return Histogram(&hist_cells_[it->second]);
 }
 
 void MetricsRegistry::counter_fn(std::string name,
                                  std::function<std::uint64_t()> fn) {
   counter_fns_[std::move(name)] = std::move(fn);
+  ++generation_;
 }
 
 void MetricsRegistry::gauge_fn(std::string name, std::function<double()> fn) {
   gauge_fns_[std::move(name)] = std::move(fn);
+  ++generation_;
 }
 
 void MetricsRegistry::remove_fn_prefix(const std::string& prefix) {
@@ -257,21 +268,49 @@ void MetricsRegistry::remove_fn_prefix(const std::string& prefix) {
   };
   scrub(counter_fns_);
   scrub(gauge_fns_);
+  ++generation_;
+}
+
+namespace {
+
+// Merges owned cells and pull callbacks into one name-sorted list; a cell
+// shadows a callback of the same name.
+template <typename T>
+std::vector<ScalarReader<T>> merge_readers(
+    const std::map<std::string, std::size_t>& index,
+    const std::deque<T>& cells,
+    const std::map<std::string, std::function<T()>>& fns) {
+  std::vector<ScalarReader<T>> out;
+  out.reserve(index.size() + fns.size());
+  auto c = index.begin();
+  auto f = fns.begin();
+  while (c != index.end() || f != fns.end()) {
+    if (f == fns.end() || (c != index.end() && c->first <= f->first)) {
+      if (f != fns.end() && f->first == c->first) ++f;  // shadowed
+      out.push_back({c->first, &cells[c->second], nullptr});
+      ++c;
+    } else {
+      out.push_back({f->first, nullptr, &f->second});
+      ++f;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<CounterReader> MetricsRegistry::counter_readers() const {
+  return merge_readers(counter_index_, counter_cells_, counter_fns_);
+}
+
+std::vector<GaugeReader> MetricsRegistry::gauge_readers() const {
+  return merge_readers(gauge_index_, gauge_cells_, gauge_fns_);
 }
 
 Snapshot MetricsRegistry::snapshot(std::int64_t at_ns) const {
-  Snapshot s;
-  s.at_ns = at_ns;
-  for (const auto& [name, idx] : counter_index_) {
-    s.counters.emplace(name, counter_cells_[idx]);
-  }
-  for (const auto& [name, fn] : counter_fns_) s.counters.emplace(name, fn());
-  for (const auto& [name, idx] : gauge_index_) {
-    s.gauges.emplace(name, gauge_cells_[idx]);
-  }
-  for (const auto& [name, fn] : gauge_fns_) s.gauges.emplace(name, fn());
+  Snapshot s = snapshot_scalars(at_ns);
   for (const auto& [name, idx] : hist_index_) {
-    s.histograms.emplace(name, hist_cells_[idx]);
+    s.histograms.emplace_hint(s.histograms.end(), name, hist_cells_[idx]);
   }
   return s;
 }
@@ -279,14 +318,12 @@ Snapshot MetricsRegistry::snapshot(std::int64_t at_ns) const {
 Snapshot MetricsRegistry::snapshot_scalars(std::int64_t at_ns) const {
   Snapshot s;
   s.at_ns = at_ns;
-  for (const auto& [name, idx] : counter_index_) {
-    s.counters.emplace(name, counter_cells_[idx]);
+  for (const CounterReader& r : counter_readers()) {
+    s.counters.emplace_hint(s.counters.end(), r.name, r.read());
   }
-  for (const auto& [name, fn] : counter_fns_) s.counters.emplace(name, fn());
-  for (const auto& [name, idx] : gauge_index_) {
-    s.gauges.emplace(name, gauge_cells_[idx]);
+  for (const GaugeReader& r : gauge_readers()) {
+    s.gauges.emplace_hint(s.gauges.end(), r.name, r.read());
   }
-  for (const auto& [name, fn] : gauge_fns_) s.gauges.emplace(name, fn());
   return s;
 }
 

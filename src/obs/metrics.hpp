@@ -135,6 +135,21 @@ Snapshot diff(const Snapshot& newer, const Snapshot& older);
 std::string render_table(const Snapshot& snap, const std::string& prefix,
                          bool skip_zero_rows = true);
 
+/// One scalar metric bound for repeated reads without a name lookup: the
+/// owned cell if the name has one, otherwise its pull callback (the
+/// precedence every snapshot applies). `name` and the pointers stay valid
+/// until the registry's generation() changes.
+template <typename T>
+struct ScalarReader {
+  std::string_view name;
+  const T* cell = nullptr;
+  const std::function<T()>* fn = nullptr;
+
+  T read() const { return cell != nullptr ? *cell : (*fn)(); }
+};
+using CounterReader = ScalarReader<std::uint64_t>;
+using GaugeReader = ScalarReader<double>;
+
 /// The process-wide metric namespace for one simulation. Registration is
 /// idempotent: asking twice for the same name (and kind) returns a handle
 /// to the same cell, so a recreated component continues its predecessor's
@@ -145,6 +160,12 @@ std::string render_table(const Snapshot& snap, const std::string& prefix,
 /// that already maintain their own counters (links, switches). Pull
 /// callbacks must be removed (remove_fn_prefix) before the component they
 /// read from is destroyed.
+///
+/// High-frequency pollers (the Watchdog checks every watch window) bind
+/// counter_readers()/gauge_readers() once and re-read them, rebinding
+/// whenever generation() moves: every new registration and every
+/// remove_fn_prefix() bumps it, so a reader is never used after its
+/// callback has been removed.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -167,9 +188,13 @@ class MetricsRegistry {
 
   /// Counters and gauges only — no histogram payload. Sub-bucketed
   /// histograms carry hundreds of buckets, so copying them dominates a
-  /// full snapshot; high-frequency pollers whose rules are scalar-based
-  /// (the Watchdog checks every watch window) use this instead.
+  /// full snapshot.
   Snapshot snapshot_scalars(std::int64_t at_ns = 0) const;
+
+  /// Every counter / gauge name with its reader, sorted by name.
+  std::vector<CounterReader> counter_readers() const;
+  std::vector<GaugeReader> gauge_readers() const;
+  std::uint64_t generation() const { return generation_; }
 
   std::size_t size() const {
     return counter_index_.size() + gauge_index_.size() + hist_index_.size() +
@@ -177,6 +202,7 @@ class MetricsRegistry {
   }
 
  private:
+  std::uint64_t generation_ = 0;
   std::map<std::string, std::size_t> counter_index_;
   std::map<std::string, std::size_t> gauge_index_;
   std::map<std::string, std::size_t> hist_index_;

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -11,21 +13,33 @@ namespace vnet::obs {
 
 /// Stall watchdogs (DESIGN.md §8): registry-driven detectors that name the
 /// component that stopped making progress. The caller invokes check() once
-/// per watch window of simulated time; each check snapshots the registry,
-/// diffs against the previous window, and fires an event per rule/subject
-/// that stalled across the whole window:
+/// per watch window of simulated time; each check reads the counters the
+/// rules watch, takes their growth since the previous check, and fires an
+/// event per rule/subject that stalled across the whole window:
 ///
 ///   channel-stall — a NIC holds busy channels but saw zero acks, nacks or
 ///                   message completions (e.g. every route to the peer is
 ///                   down and retransmissions vanish into the dead trunk);
 ///   frame-loiter  — a NIC has unfinished send descriptors but transmitted
 ///                   nothing at all, not even a retransmission;
-///   link-pegged   — back-pressure pinned one link at (near) 100% occupancy
-///                   for the entire window;
 ///   spin-poll     — an endpoint's wait loop kept waking (wait_wakeups grew
 ///                   past the threshold) while handling zero messages or
 ///                   returns: some thread waits on a level-triggered
-///                   condition it never consumes (the PR 6 bug class).
+///                   condition it never consumes;
+///   link-pegged   — back-pressure pinned one link at (near) 100% occupancy
+///                   for the entire window.
+///
+/// Rules fire in that order, and within a rule in metric-name order.
+/// Counter growth clamps at 0, a counter that was absent at the previous
+/// check grows from 0, and gauges are levels read at the check.
+///
+/// The watchdog binds registry readers once per registry generation rather
+/// than snapshotting: every counter a rule can read (any name ending in a
+/// watched suffix, and every fabric.link.*.bytes_tx) plus every
+/// busy_channels/send_backlog gauge. A check on an unchanged generation
+/// only reads those and allocates nothing unless a rule fires; a changed
+/// generation rebinds first, so a pull callback removed by its owner's
+/// destructor is never called.
 ///
 /// Events accumulate for render_summary() (one row per rule/subject, wired
 /// into the chaos scenario reports) and optionally invoke an on_fire hook,
@@ -76,14 +90,40 @@ class Watchdog {
   std::string render_summary() const;
 
  private:
-  void fire(std::int64_t now_ns, const char* rule, std::string subject,
-            std::string detail);
+  /// A watched counter: its reader, its value at the previous check and
+  /// its growth over the window that check closed. The name is owned so
+  /// that values carry over by name when the registry changes.
+  struct Tally {
+    std::string name;
+    CounterReader reader;
+    std::uint64_t last = 0;
+    std::uint64_t delta = 0;
+  };
+  /// One rule bound to one subject: the gauge (channel-stall, frame-loiter)
+  /// or tally (spin-poll, link-pegged) that arms it, and the tallies whose
+  /// growth counts as progress (kNone where the subject has no such
+  /// counter).
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  struct Watch {
+    std::string subject;
+    GaugeReader level;
+    std::size_t trigger = kNone;
+    std::array<std::size_t, 4> progress{kNone, kNone, kNone, kNone};
+  };
+
+  void bind();
+  std::uint64_t progress(const Watch& w) const;
+  void fire(std::int64_t now_ns, const char* rule, const std::string& subject,
+            const char* detail);
 
   const MetricsRegistry* reg_;
   WatchdogConfig cfg_;
   std::function<void(const WatchdogEvent&)> on_fire_;
   bool have_base_ = false;
-  Snapshot last_;
+  std::int64_t last_ns_ = 0;
+  std::uint64_t generation_ = 0;  ///< registry generation of the bindings
+  std::vector<Tally> tallies_;    ///< sorted by name
+  std::vector<Watch> stalls_, loiters_, spins_, links_;
   std::vector<WatchdogEvent> events_;
 };
 

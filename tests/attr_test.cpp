@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -254,6 +255,137 @@ TEST(Watchdog, FrameLoiterAndLinkPeggedRules) {
   sent.inc();
   wd.check(1'000'000);
   EXPECT_EQ(wd.events().size(), 2u);
+}
+
+TEST(Watchdog, SpinPollRule) {
+  MetricsRegistry reg;
+  Counter wakeups = reg.counter("host.1.ep.2.wait_wakeups");
+  Counter handled = reg.counter("host.1.ep.2.messages_handled");
+  Counter returns = reg.counter("host.1.ep.2.returns_handled");
+
+  WatchdogConfig cfg;
+  cfg.spin_wakeup_threshold = 64;
+  Watchdog wd(reg, cfg);
+  wd.check(0);
+  wakeups.inc(64);  // at the threshold: quiet
+  wd.check(500'000);
+  EXPECT_TRUE(wd.events().empty());
+
+  wakeups.inc(65);  // past it with nothing consumed: a busy loop
+  wd.check(1'000'000);
+  ASSERT_EQ(wd.events().size(), 1u);
+  EXPECT_EQ(wd.events()[0].at_ns, 1'000'000);
+  EXPECT_EQ(wd.events()[0].rule, "spin-poll");
+  EXPECT_EQ(wd.events()[0].subject, "host.1.ep.2");
+  EXPECT_EQ(wd.events()[0].detail,
+            "65 wait wakeups, nothing consumed in window");
+
+  wakeups.inc(500);  // a handled message is progress
+  handled.inc();
+  wd.check(1'500'000);
+  wakeups.inc(500);  // so is a handled return
+  returns.inc();
+  wd.check(2'000'000);
+  EXPECT_EQ(wd.events().size(), 1u);
+
+  // Threshold 0 disables the rule.
+  cfg.spin_wakeup_threshold = 0;
+  Watchdog off(reg, cfg);
+  off.check(2'000'000);
+  wakeups.inc(1000);
+  off.check(2'500'000);
+  EXPECT_TRUE(off.events().empty());
+}
+
+// The watchdog binds registry readers once per registry generation; every
+// registration and removal between two checks must rebind it without
+// changing what the rules see.
+TEST(Watchdog, RebindsWhenRegistryChanges) {
+  WatchdogConfig cfg;
+  cfg.window_ns = 500'000;
+
+  {  // (a) a counter registered after the baseline grows from 0
+    MetricsRegistry reg;
+    Watchdog wd(reg, cfg);
+    wd.check(0);
+    reg.counter("host.0.ep.1.wait_wakeups").inc(100);
+    wd.check(500'000);
+    ASSERT_EQ(wd.events().size(), 1u);
+    EXPECT_EQ(wd.events()[0].detail,
+              "100 wait wakeups, nothing consumed in window");
+  }
+
+  {  // (b) removed pull callbacks are never called again
+    MetricsRegistry reg;
+    int calls = 0;
+    auto nic = std::make_unique<std::uint64_t>(7);
+    reg.gauge_fn("host.1.nic.busy_channels", [&calls, p = nic.get()] {
+      ++calls;
+      return static_cast<double>(*p);
+    });
+    reg.counter_fn("host.1.nic.acks_received", [&calls, p = nic.get()] {
+      ++calls;
+      return *p;
+    });
+    Watchdog wd(reg, cfg);
+    wd.check(0);
+    wd.check(500'000);
+    ASSERT_EQ(wd.events().size(), 1u);  // 7 busy, no acks: stalled
+    EXPECT_EQ(wd.events()[0].subject, "host.1.nic");
+
+    reg.remove_fn_prefix("host.1.nic.");
+    nic.reset();  // ASan reports any later call through the callbacks
+    const int before = calls;
+    wd.check(1'000'000);
+    wd.check(1'500'000);
+    EXPECT_EQ(calls, before);
+    EXPECT_EQ(wd.events().size(), 1u);
+  }
+
+  {  // (c) an owned cell shadows a pull callback of the same name
+    MetricsRegistry reg;
+    int fn_calls = 0;
+    reg.counter_fn("host.2.ep.1.wait_wakeups", [&fn_calls] {
+      ++fn_calls;
+      return std::uint64_t{1'000'000};
+    });
+    Counter wakeups = reg.counter("host.2.ep.1.wait_wakeups");
+    Gauge busy = reg.gauge("host.2.nic.busy_channels");
+    reg.gauge_fn("host.2.nic.busy_channels", [&fn_calls] {
+      ++fn_calls;
+      return 0.0;
+    });
+    Watchdog wd(reg, cfg);
+    wd.check(0);
+    wakeups.inc(100);
+    busy.set(3);
+    wd.check(500'000);
+    ASSERT_EQ(wd.events().size(), 2u);
+    EXPECT_EQ(wd.events()[0].rule, "channel-stall");
+    EXPECT_EQ(wd.events()[0].detail,
+              "3 busy channel(s), no ack/completion in window");
+    EXPECT_EQ(wd.events()[1].rule, "spin-poll");
+    EXPECT_EQ(wd.events()[1].detail,
+              "100 wait wakeups, nothing consumed in window");
+    EXPECT_EQ(fn_calls, 0);
+  }
+
+  {  // (d) a gauge registered after its NIC's counters diffs them against
+     // their previous values, not against 0
+    MetricsRegistry reg;
+    Counter acks = reg.counter("host.3.nic.acks_received");
+    acks.inc(5);
+    Watchdog wd(reg, cfg);
+    wd.check(0);
+    reg.gauge("host.3.nic.busy_channels").set(1);
+    wd.check(500'000);  // acks did not move in this window: stalled
+    ASSERT_EQ(wd.events().size(), 1u);
+    EXPECT_EQ(wd.events()[0].rule, "channel-stall");
+    EXPECT_EQ(wd.events()[0].subject, "host.3.nic");
+    acks.inc();
+    wd.check(1'000'000);
+    EXPECT_EQ(wd.events().size(), 1u);
+  }
 }
 
 // A scripted outage through the real stack: the server's only routes die

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "chaos/fault_plan.hpp"
 #include "chaos/scenario.hpp"
@@ -92,6 +96,54 @@ TEST(ChaosDeterminism, DifferentSeedsDifferentTimelines) {
   const ScenarioResult a = run_scenario(standard_scenario("chaos", 11));
   const ScenarioResult b = run_scenario(standard_scenario("chaos", 12));
   EXPECT_NE(a.campaign_log, b.campaign_log);
+}
+
+// ------------------------------------------------------ watchdog firings
+
+// Every standard scenario at seed 1: how often each stall rule fired and
+// the first firing, as the snapshot-and-diff watchdog recorded them. A
+// change that moves any firing, in the watchdog or in the simulation it
+// watches, fails here.
+TEST(ChaosWatchdog, StandardScenarioFiringsArePinned) {
+  constexpr const char* kRules[] = {"channel-stall", "frame-loiter",
+                                    "spin-poll", "link-pegged"};
+  struct Pin {
+    const char* scenario;
+    std::size_t per_rule[4];  // in kRules order
+    std::int64_t first_at_ns;
+    const char* first_rule;
+    const char* first_subject;
+  };
+  const Pin pins[] = {
+      {"link_flap", {14, 1, 0, 0}, 2'500'000, "channel-stall", "host.1.nic"},
+      {"burst_loss", {15, 9, 0, 0}, 1'500'000, "channel-stall", "host.1.nic"},
+      {"nic_reboot", {28, 4, 0, 5}, 2'000'000, "channel-stall", "host.3.nic"},
+      {"host_failover",
+       {73, 31, 0, 0},
+       2'500'000,
+       "channel-stall",
+       "host.1.nic"},
+      {"trunk_flap", {1, 0, 0, 0}, 3'000'000, "channel-stall", "host.1.nic"},
+      {"chaos", {11, 3, 0, 0}, 5'000'000, "channel-stall", "host.4.nic"},
+  };
+  const std::vector<std::string> names = standard_scenario_names();
+  ASSERT_EQ(names.size(), std::size(pins));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const Pin& pin = pins[i];
+    ASSERT_EQ(names[i], pin.scenario);
+    const ScenarioResult res = run_scenario(standard_scenario(names[i], 1));
+    for (std::size_t r = 0; r < std::size(kRules); ++r) {
+      const auto fired = static_cast<std::size_t>(std::count_if(
+          res.watchdog_events.begin(), res.watchdog_events.end(),
+          [&](const obs::WatchdogEvent& e) { return e.rule == kRules[r]; }));
+      EXPECT_EQ(fired, pin.per_rule[r]) << names[i] << " " << kRules[r];
+    }
+    ASSERT_FALSE(res.watchdog_events.empty()) << names[i];
+    const obs::WatchdogEvent& first = res.watchdog_events.front();
+    EXPECT_EQ(first.at_ns, pin.first_at_ns) << names[i];
+    EXPECT_EQ(first.rule, pin.first_rule) << names[i];
+    EXPECT_EQ(first.subject, pin.first_subject) << names[i];
+  }
 }
 
 // --------------------------------------------------- verdict round-trip
