@@ -51,7 +51,7 @@ int main() {
       cluster::NowConfig(2), /*pingpongs=*/300, /*stream=*/0,
       /*attribute=*/true);
   std::printf("\nAM one-way latency attribution (300 ping-pongs, "
-              "stage boundaries of obs/attr.hpp):\n%s",
+              "stage boundaries of obs/span.hpp):\n%s",
               attr.attr_report.c_str());
   const double two_way = 2.0 * attr.attr_e2e_us;
   const double delta_pct =

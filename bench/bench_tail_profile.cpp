@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
 
   cl.run_to_completion();
 
-  const std::vector<obs::SpanTrace> traces = cl.engine().spans().collect();
+  const std::vector<obs::SpanTrace> traces = cl.collect_spans();
   const obs::TailReport report = obs::tail_report(traces);
   if (report.total == 0) {
     std::fprintf(stderr, "no complete spans captured\n");

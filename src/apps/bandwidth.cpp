@@ -70,7 +70,6 @@ BandwidthResult measure_bandwidth(const cluster::ClusterConfig& config,
   cluster::Cluster cl(cfg);
   if (span_sample_interval > 0) {
     cl.engine().spans().set_sample_interval(span_sample_interval);
-    cl.engine().attr().set_sample_interval(span_sample_interval);
     // Enough for every sampled message across all sizes (streams + echoes,
     // requests + replies).
     const std::size_t msgs = sizes.size() *
@@ -172,7 +171,8 @@ BandwidthResult measure_bandwidth(const cluster::ClusterConfig& config,
     result.timeseries_csv = sampler->csv();
   }
   if (span_sample_interval > 0) {
-    result.tail_report = obs::render_tail_report(cl.engine().spans());
+    result.tail_report =
+        obs::render_tail_report(obs::tail_report(cl.collect_spans()));
   }
 
   result.slope_us_per_byte = fit.slope();

@@ -48,9 +48,10 @@ inline constexpr double kBwPhaseEcho = 2;
 /// `sample_period` additionally runs an obs::Sampler over the
 /// `apps.bandwidth`, `fabric.link.`, and `host.` metric prefixes every
 /// period of simulated time and returns the CSV. A non-zero
-/// `span_sample_interval` turns on 1-in-N causal span capture (plus
-/// latency attribution, so the CSV carries per-endpoint percentile
-/// columns) and returns the rendered tail profile; recording takes no
+/// `span_sample_interval` turns on 1-in-N causal span capture (whose
+/// complete traces feed the attr.<stage> histograms, so the CSV carries
+/// per-endpoint percentile columns) and returns the rendered tail
+/// profile; recording takes no
 /// simulated time, so the measured curve is unchanged.
 BandwidthResult measure_bandwidth(const cluster::ClusterConfig& config,
                                   const std::vector<std::uint32_t>& sizes,

@@ -15,7 +15,7 @@ struct LogpResult {
   double rtt_us = 0;  ///< measured round-trip time of a 16-byte message
 
   // Filled only when measure_logp runs with `attribute == true`:
-  // the flight recorder's per-stage decomposition of the same ping-pongs.
+  // the span recorder's per-stage decomposition of the same ping-pongs.
   double attr_e2e_us = 0;        ///< mean one-way end-to-end (enqueue->done)
   double attr_stage_sum_us = 0;  ///< sum of the per-stage interval means
   std::string attr_report;       ///< rendered stage table ("" otherwise)
@@ -38,9 +38,10 @@ struct LogpResult {
 ///          the steady-state inter-arrival time at the receiver;
 ///  * L   — RTT/2 - o_s - o_r.
 ///
-/// With `attribute` set, every message is also tracked by the engine's
-/// latency-attribution recorder (obs/attr.hpp) and the result carries the
-/// per-stage table; pass `stream == 0` for a pure ping-pong decomposition
+/// With `attribute` set, every message is also tracked by the engine's span
+/// recorder (obs/span.hpp), whose complete traces fold into the attr.<stage>
+/// histograms, and the result carries the per-stage table; pass
+/// `stream == 0` for a pure ping-pong decomposition
 /// whose stage sums reconcile with the measured RTT (two one-way flights —
 /// request and reply — per round trip).
 LogpResult measure_logp(const cluster::ClusterConfig& config,

@@ -28,7 +28,7 @@ struct SharedState {
   bool window_open;
   bool clients_stop = false;
   bool servers_stop = false;
-  sim::Histogram rtt_us;
+  obs::HistogramData rtt_us;
 
   bool names_ready() const {
     for (const auto& n : server_names) {
@@ -50,8 +50,8 @@ sim::Task<> client_body(host::HostThread& t, SharedState& st, int id,
     if (st.window_open) {
       ++st.replies[static_cast<std::size_t>(id)];
       if (collect_rtt) {
-        st.rtt_us.add(sim::to_usec(t.engine().now() -
-                                   static_cast<sim::Time>(m.arg(0))));
+        st.rtt_us.record(sim::to_usec(t.engine().now() -
+                                      static_cast<sim::Time>(m.arg(0))));
       }
     }
   });

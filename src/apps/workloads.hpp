@@ -5,7 +5,7 @@
 
 #include "cluster/config.hpp"
 #include "host/segment_driver.hpp"
-#include "sim/stats.hpp"
+#include "obs/metrics.hpp"
 
 namespace vnet::apps {
 
@@ -81,7 +81,7 @@ struct ContentionResult {
 
   /// Client-observed request round-trip times (strongly bimodal when
   /// endpoints are being re-mapped, §6.4.1).
-  sim::Histogram rtt_us;
+  obs::HistogramData rtt_us;
 
   double min_client_per_sec() const;
   double max_client_per_sec() const;

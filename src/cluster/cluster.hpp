@@ -82,6 +82,12 @@ class Cluster {
   /// Union of all shards' metric registries (engine().snapshot() serially).
   obs::Snapshot merged_snapshot() const { return group_.merged_snapshot(); }
 
+  /// Every shard's retained span traces in (node, ep) order
+  /// (engine().spans().collect() serially; see ShardGroup::collect_spans).
+  std::vector<obs::SpanTrace> collect_spans() const {
+    return group_.collect_spans();
+  }
+
   /// Whole-cluster replay digest: engine(0)'s digest serially, a
   /// shard-order fold otherwise (see ShardGroup::combined_digest).
   std::uint64_t replay_digest() const { return group_.combined_digest(); }

@@ -150,7 +150,7 @@ class SegmentDriver {
   sim::Rng rng_;
   DriverCounters counters_;
   /// Service time of each write-fault (on-host r/o -> writable), the OS
-  /// contribution to send latency attribution (obs/attr.hpp); registered
+  /// contribution to send latency attribution (obs/span.hpp); registered
   /// under `host.<node>.driver.attr.fault_ns`.
   obs::Histogram fault_ns_;
   std::string metric_prefix_;

@@ -36,6 +36,8 @@ struct SendDescriptor {
   ReplyToken reply_to;
   MsgBody body;
   std::uint64_t msg_id = 0;
+  /// Simulator metadata: the message's span flight (null if not sampled).
+  obs::SpanHandle span;
 
   // --- transport progress (NIC-owned) ---
   enum class FragState : std::uint8_t { kUnsent = 0, kInFlight, kAcked };
@@ -118,6 +120,8 @@ struct RecvEntry {
   /// the chaos delivery ledger keys on.
   std::uint64_t msg_id = 0;
   sim::Time arrived_at = 0;
+  /// Simulator metadata: the message's span flight (null if not sampled).
+  obs::SpanHandle span;
 };
 
 /// Key identifying a remote source endpoint (node, ep) in dedup windows.

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "myrinet/packet.hpp"
+#include "obs/span.hpp"
 
 namespace vnet::lanai {
 
@@ -108,12 +109,15 @@ struct Frame : myrinet::Payload {
   std::uint8_t acked_seq = 0;
 
   /// Not a wire field: when the carrying packet reached the destination
-  /// station (copied from Packet::delivered_at by handle_rx), the wire
-  /// boundary for latency attribution (obs/attr.hpp). -1 for local frames.
+  /// station (copied from Packet::delivered_at by handle_rx), the span's
+  /// kWireDeliver boundary (obs/span.hpp). -1 for local frames.
   sim::Time delivered_at = -1;
   /// Not a wire field: link hops the carrying packet traversed (copied
   /// from Packet::hops by handle_rx); annotates captured spans.
   std::uint8_t wire_hops = 0;
+  /// Not a wire field: the message's span handle, copied from its
+  /// SendDescriptor into every fragment and retransmission.
+  obs::SpanHandle span;
 
   /// §8 extension: acknowledgments piggybacked on a data frame (empty
   /// unless NicConfig::piggyback_acks is enabled).

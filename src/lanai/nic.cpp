@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/attr.hpp"
 #include "obs/span.hpp"
 
 namespace vnet::lanai {
@@ -350,21 +349,10 @@ sim::Task<bool> Nic::service_endpoint(EndpointState& ep) {
 }
 
 sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
-  if (engine_->spans().enabled()) {
-    engine_->spans().point(
-        obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), ep.id,
-                               desc.msg_id),
-        obs::SpanPoint::kNicPickup, static_cast<std::int64_t>(engine_->now()));
-  }
-  if (engine_->attr().enabled()) {
-    // First pickup only (repeat stamps are ignored): rebinds and later
-    // fragments attribute to the initial tx-service wait.
-    engine_->attr().stamp(
-        obs::AttrRecorder::key(static_cast<std::uint32_t>(node_), ep.id,
-                               desc.msg_id),
-        obs::Stage::kNicPickup, static_cast<std::int64_t>(engine_->now()),
-        static_cast<std::int64_t>(engine_->events_processed()));
-  }
+  // First pickup only (repeat stamps are ignored): rebinds and later
+  // fragments attribute to the initial tx-service wait.
+  engine_->spans().point(desc.span, obs::SpanPoint::kNicPickup,
+                         static_cast<std::int64_t>(engine_->now()));
   // Resolve the destination: requests go through the translation table
   // (§3.1), replies directly to the requester.
   NodeId dst_node;
@@ -449,6 +437,7 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
   f.frag_count = desc.frag_count;
   f.frag_bytes = frag_bytes;
   f.timestamp = nic_timestamp();
+  f.span = desc.span;
 
   desc.frag_state[frag] = SendDescriptor::FragState::kInFlight;
 
@@ -568,24 +557,13 @@ sim::Task<bool> Nic::deliver_local(EndpointState& src, SendDescriptor& desc,
   entry.src_ep = src.id;
   entry.msg_id = desc.msg_id;
   entry.arrived_at = engine_->now();
+  entry.span = desc.span;
   queue.push_back(std::move(entry));
   ++dst.msgs_delivered;
-  if (engine_->attr().enabled()) {
-    // Local delivery skips the wire boundaries; the flight keeps a gap.
-    engine_->attr().stamp(
-        obs::AttrRecorder::key(static_cast<std::uint32_t>(node_), src.id,
-                               desc.msg_id),
-        obs::Stage::kRxDeposit, static_cast<std::int64_t>(engine_->now()),
-        static_cast<std::int64_t>(engine_->events_processed()));
-  }
-  if (engine_->spans().enabled()) {
-    // The span keeps the same gap; critical_path() charges the whole
-    // pickup→deposit interval to tx_service for local traffic.
-    engine_->spans().point(
-        obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), src.id,
-                               desc.msg_id),
-        obs::SpanPoint::kRxDeposit, static_cast<std::int64_t>(engine_->now()));
-  }
+  // Local delivery skips the wire boundaries; critical_path() charges the
+  // whole pickup→deposit interval to tx_service.
+  engine_->spans().point(desc.span, obs::SpanPoint::kRxDeposit,
+                         static_cast<std::int64_t>(engine_->now()));
   finish_ok();
   if (dst.on_arrival) dst.on_arrival();
   co_return true;
@@ -597,9 +575,7 @@ sim::Task<> Nic::inject(Frame f) {
   // Channels are statically bound to routes (§5.3): FIFO per channel.
   const auto& route = routes[f.channel % routes.size()];
 
-  const bool own_data = f.kind == FrameKind::kData && f.src_node == node_;
-  const EpId attr_ep = f.src_ep;
-  const std::uint64_t attr_msg = f.msg_id;
+  const obs::SpanHandle span = f.span;  // null for acks and nacks
 
   myrinet::Packet p;
   p.src = node_;
@@ -612,21 +588,10 @@ sim::Task<> Nic::inject(Frame f) {
   while (!station_->can_inject()) {
     co_await station_->drained().wait();
   }
-  if (own_data && engine_->attr().enabled()) {
-    // Stamped after the back-pressure wait: injection-queue stalls count
-    // as NIC tx service, not as wire latency.
-    engine_->attr().stamp(
-        obs::AttrRecorder::key(static_cast<std::uint32_t>(node_), attr_ep,
-                               attr_msg),
-        obs::Stage::kWireInject, static_cast<std::int64_t>(engine_->now()),
-        static_cast<std::int64_t>(engine_->events_processed()));
-  }
-  if (own_data && engine_->spans().enabled()) {
-    engine_->spans().point(
-        obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), attr_ep,
-                               attr_msg),
-        obs::SpanPoint::kWireInject, static_cast<std::int64_t>(engine_->now()));
-  }
+  // Stamped after the back-pressure wait: injection-queue stalls count as
+  // NIC tx service, not as wire latency.
+  engine_->spans().point(span, obs::SpanPoint::kWireInject,
+                         static_cast<std::int64_t>(engine_->now()));
   station_->inject(std::move(p));
 }
 
@@ -773,34 +738,13 @@ sim::Task<> Nic::accept_fragment(EndpointState& ep, const Frame& f,
     if (config_.reliable_transport) {
       ep.delivered_from[src_key(f.src_node, f.src_ep)].remember(f.msg_id);
     }
-    if (engine_->attr().enabled()) {
-      const std::uint64_t k = obs::AttrRecorder::key(
-          static_cast<std::uint32_t>(f.src_node), f.src_ep, f.msg_id);
-      if (f.delivered_at >= 0) {
-        // The frame doesn't carry an event count from its delivery event,
-        // so both boundary counters are read here at deposit: the rx
-        // service events fold into the `wire` event column and `nic_rx`
-        // reads ~0 events (its *time* column is still exact).
-        engine_->attr().stamp(
-            k, obs::Stage::kWireDeliver,
-            static_cast<std::int64_t>(f.delivered_at),
-            static_cast<std::int64_t>(engine_->events_processed()));
-      }
-      engine_->attr().stamp(
-          k, obs::Stage::kRxDeposit, static_cast<std::int64_t>(engine_->now()),
-          static_cast<std::int64_t>(engine_->events_processed()));
+    if (f.delivered_at >= 0) {
+      engine_->spans().point(f.span, obs::SpanPoint::kWireDeliver,
+                             static_cast<std::int64_t>(f.delivered_at),
+                             f.wire_hops);
     }
-    if (engine_->spans().enabled()) {
-      const std::uint64_t k = obs::SpanRecorder::key(
-          static_cast<std::uint32_t>(f.src_node), f.src_ep, f.msg_id);
-      if (f.delivered_at >= 0) {
-        engine_->spans().point(k, obs::SpanPoint::kWireDeliver,
-                               static_cast<std::int64_t>(f.delivered_at));
-        engine_->spans().set_wire_hops(k, f.wire_hops);
-      }
-      engine_->spans().point(k, obs::SpanPoint::kRxDeposit,
-                             static_cast<std::int64_t>(engine_->now()));
-    }
+    engine_->spans().point(f.span, obs::SpanPoint::kRxDeposit,
+                           static_cast<std::int64_t>(engine_->now()));
     if (ep.on_arrival) ep.on_arrival();
   };
 
@@ -814,6 +758,7 @@ sim::Task<> Nic::accept_fragment(EndpointState& ep, const Frame& f,
     entry.src_ep = f.src_ep;
     entry.msg_id = f.msg_id;
     entry.arrived_at = engine_->now();
+    entry.span = f.span;
     return entry;
   };
 
@@ -1069,15 +1014,11 @@ sim::Task<bool> Nic::handle_retransmit(ChannelState* ch) {
   ch->sent_at = engine_->now();
   ch->was_retransmitted = true;  // Karn: no RTT sample from this exchange
   counters_.retransmissions.inc();
-  if (engine_->spans().enabled()) {
-    // Retransmission edge: the span keeps its first-pickup/first-inject
-    // boundaries and records the retry as causal metadata instead.
-    engine_->spans().edge(
-        obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), ep.id,
-                               desc->msg_id),
-        obs::SpanEdge::Kind::kRetransmit,
-        static_cast<std::int64_t>(engine_->now()), ch->consecutive_retries);
-  }
+  // Retransmission edge: the span keeps its first-pickup/first-inject
+  // boundaries and records the retry as causal metadata instead.
+  engine_->spans().edge(desc->span, obs::SpanEdge::Kind::kRetransmit,
+                        static_cast<std::int64_t>(engine_->now()),
+                        ch->consecutive_retries);
   co_await inject(ch->pending);
   if (table_gen != channel_table_gen_) co_return true;
   arm_timer(*ch, backoff_for(*ch, ch->consecutive_retries));

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -81,12 +83,42 @@ struct HistogramData {
   double max_seen = 0.0;  ///< valid iff count > 0
   std::vector<std::uint64_t> buckets;
 
-  void record(double x);
+  /// Inline: the span recorder folds eight samples into attr.<stage>
+  /// histograms per complete trace.
+  void record(double x) {
+    if (count == 0) {
+      min_seen = max_seen = x;
+    } else {
+      min_seen = std::min(min_seen, x);
+      max_seen = std::max(max_seen, x);
+    }
+    ++count;
+    sum += x;
+    const std::size_t b = bucket_of(x);
+    if (buckets.size() <= b) buckets.resize(b + 1, 0);
+    ++buckets[b];
+  }
+  /// Adds `other`'s samples: counts, sums and buckets add; min/max widen.
+  void merge(const HistogramData& other);
   double mean() const { return count ? sum / static_cast<double>(count) : 0; }
   /// Quantile estimate (q in [0,1]): rank-interpolated within the owning
   /// sub-bucket and clamped to [min_seen, max_seen]. An empty (or
   /// diffed-to-zero) histogram returns 0.
   double quantile(double q) const;
+
+ private:
+  /// Bucket 0 is [0,1); bucket 1 + m*kSubBuckets + s is
+  /// [2^m * (1 + s/kSubBuckets), 2^m * (1 + (s+1)/kSubBuckets)). For x >= 1
+  /// the decade m is the double's unbiased exponent and s is the top five
+  /// bits of its mantissa, read straight from the bit pattern (no libm).
+  static std::size_t bucket_of(double x) {
+    static_assert(kSubBuckets == 32, "sub-bucket is the top 5 mantissa bits");
+    if (x < 1.0) return 0;
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    const std::uint64_t m = (bits >> 52) - 1023;  // sign bit is 0 for x >= 1
+    const std::uint64_t s = (bits >> 47) & (kSubBuckets - 1);
+    return static_cast<std::size_t>(1 + m * kSubBuckets + s);
+  }
 };
 
 /// Handle to a registry-owned HistogramData cell.

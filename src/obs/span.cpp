@@ -1,6 +1,7 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 
@@ -22,6 +23,21 @@ constexpr const char* kStageNames[kSpanStageCount] = {
 constexpr bool kStageIsWait[kSpanStageCount] = {
     false, true, true, false, false, false, true, false,
 };
+
+/// Leaf names of the attr.<stage> histograms, then attr.e2e.
+constexpr const char* kAttrNames[kAttrStageCount + 1] = {
+    "os",           // host send overhead o_s
+    "nic_tx_wait",  // doorbell-coalesce wait + tx queue wait
+    "nic_tx",       // NIC tx service (incl. SBUS staging)
+    "wire",         // fabric latency L
+    "nic_rx",       // NIC rx service (incl. SBUS staging)
+    "wake",         // poll/thread wake latency
+    "or",           // receiver overhead o_r
+    "e2e",
+};
+
+/// The attr stage each span stage folds into.
+constexpr unsigned kAttrOfStage[kSpanStageCount] = {0, 1, 1, 2, 3, 4, 5, 6};
 
 std::string format_us(double ns) {
   char buf[32];
@@ -77,7 +93,8 @@ std::array<std::int64_t, kSpanStageCount> SpanTrace::critical_path() const {
 // ------------------------------------------------------------- SpanRecorder
 
 SpanRecorder::SpanRecorder(MetricsRegistry& reg)
-    : tracked_c_(reg.counter("obs.span.tracked")),
+    : reg_(&reg),
+      tracked_c_(reg.counter("obs.span.tracked")),
       completed_c_(reg.counter("obs.span.completed")),
       overwritten_c_(reg.counter("obs.span.overwritten")),
       returned_c_(reg.counter("obs.span.returned")) {}
@@ -102,103 +119,49 @@ void SpanRecorder::set_ring_capacity(std::size_t n) {
   ring_capacity_ = n;
 }
 
-SpanRecorder::Flight* SpanRecorder::find_flight(std::uint64_t k) {
-  const std::size_t mask = flights_.size() - 1;
-  std::size_t i = hash_slot(k);
-  while (true) {
-    Flight& f = flights_[i];
-    if (f.state == 0) return nullptr;
-    if (f.state == 1 && f.key == k) return &f;
-    i = (i + 1) & mask;
+SpanHandle SpanRecorder::begin_slow(std::uint32_t src_node,
+                                    std::uint32_t src_ep,
+                                    std::uint64_t msg_id, std::int64_t t_ns) {
+  if (live_ >= kMaxInflight) return {};
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(flights_.size());
+    flights_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
   }
-}
-
-SpanTrace* SpanRecorder::insert_flight(std::uint64_t k) {
-  // Keep fill (live + tombstones) under 3/4 so probes terminate quickly;
-  // a same-size rehash purges tombstones when the live load is still low.
-  if (flight_fill_ * 4 >= flights_.size() * 3) {
-    rehash_flights(flight_count_ * 2 >= flights_.size() ? flights_.size() * 2
-                                                        : flights_.size());
-  }
-  const std::size_t mask = flights_.size() - 1;
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t free_slot = npos;
-  std::size_t i = hash_slot(k);
-  while (true) {
-    Flight& f = flights_[i];
-    if (f.state == 0) break;
-    if (f.state == 2) {
-      if (free_slot == npos) free_slot = i;
-    } else if (f.key == k) {
-      return &f.t;  // key reuse: replace the existing flight in place
-    }
-    i = (i + 1) & mask;
-  }
-  if (free_slot == npos) {
-    free_slot = i;  // consumed an empty slot (reusing a tombstone is free)
-    ++flight_fill_;
-  }
-  Flight& f = flights_[free_slot];
-  f.key = k;
-  f.state = 1;
-  ++flight_count_;
-  ++live_[filter_bucket(k)];
-  return &f.t;
-}
-
-void SpanRecorder::erase_flight(Flight& f) {
-  f.state = 2;
-  --flight_count_;
-  --live_[filter_bucket(f.key)];
-}
-
-void SpanRecorder::rehash_flights(std::size_t new_slots) {
-  std::vector<Flight> old = std::move(flights_);
-  flights_.assign(new_slots, Flight{});
-  shift_ = 64;
-  for (std::size_t s = new_slots; s > 1; s >>= 1) --shift_;
-  flight_fill_ = flight_count_;
-  const std::size_t mask = new_slots - 1;
-  for (Flight& f : old) {
-    if (f.state != 1) continue;
-    std::size_t i = hash_slot(f.key);
-    while (flights_[i].state == 1) i = (i + 1) & mask;
-    flights_[i] = std::move(f);
-  }
-}
-
-bool SpanRecorder::begin_slow(std::uint32_t src_node, std::uint32_t src_ep,
-                              std::uint64_t msg_id, std::int64_t t_ns) {
-  if (flight_count_ >= kMaxInflight) return false;
-  const std::uint64_t k = key(src_node, src_ep, msg_id);
-  SpanTrace* t = insert_flight(k);
-  t->node = src_node;
-  t->ep = src_ep;
-  t->msg_id = msg_id;
-  t->at.fill(-1);
-  t->at[static_cast<unsigned>(SpanPoint::kEnqueue)] = t_ns;
-  t->edge_count = 0;  // slots are recycled: reset the mutable fields
-  t->retransmits = 0;
-  t->wire_hops = 0;
-  t->returned = false;
-  t->complete = false;
+  ++live_;
+  Flight& f = flights_[slot];
+  SpanTrace& t = f.t;
+  t = SpanTrace{};  // slots are recycled: reset every field
+  t.node = src_node;
+  t.ep = src_ep;
+  t.msg_id = msg_id;
+  t.at.fill(-1);
+  t.at[static_cast<unsigned>(SpanPoint::kEnqueue)] = t_ns;
   ++tracked_;
   tracked_c_.inc();
-  return true;
+  return SpanHandle{this, slot, f.gen};
 }
 
-void SpanRecorder::point_slow(std::uint64_t k, SpanPoint p,
-                              std::int64_t t_ns) {
-  Flight* f = find_flight(k);
-  if (!f) return;
-  std::int64_t& slot = f->t.at[static_cast<unsigned>(p)];
-  if (slot < 0) slot = t_ns;
+void SpanRecorder::defer(SpanHandle h, SpanPoint p, std::int64_t t_ns,
+                         std::uint8_t hops) {
+  outbox_.push_back(Deferred{h, t_ns, p, hops});
 }
 
-void SpanRecorder::edge_slow(std::uint64_t k, SpanEdge::Kind kind,
+void SpanRecorder::complete(Flight& f, std::uint32_t slot) {
+  f.t.complete = true;
+  ++completed_;
+  completed_c_.inc();
+  retire(f, slot);
+}
+
+void SpanRecorder::edge_slow(SpanHandle h, SpanEdge::Kind kind,
                              std::int64_t t_ns, std::int32_t arg) {
-  Flight* f = find_flight(k);
-  if (!f) return;
+  assert(h.rec == this && "edges are stamped on the sender's shard");
+  Flight* f = live_flight(h);
+  if (f == nullptr) return;
   SpanTrace& t = f->t;
   if (kind == SpanEdge::Kind::kRetransmit) ++t.retransmits;
   if (t.edge_count < SpanTrace::kMaxEdges) {
@@ -206,28 +169,11 @@ void SpanRecorder::edge_slow(std::uint64_t k, SpanEdge::Kind kind,
   }
 }
 
-void SpanRecorder::hops_slow(std::uint64_t k, std::uint8_t hops) {
-  Flight* f = find_flight(k);
-  if (!f) return;
-  if (hops > f->t.wire_hops) f->t.wire_hops = hops;
-}
-
-void SpanRecorder::finish_slow(std::uint64_t k, std::int64_t t_ns) {
-  Flight* f = find_flight(k);
-  if (!f) return;
-  std::int64_t& done = f->t.at[static_cast<unsigned>(SpanPoint::kHandlerDone)];
-  if (done < 0) done = t_ns;
-  f->t.complete = true;
-  ++completed_;
-  completed_c_.inc();
-  commit(std::move(f->t));
-  erase_flight(*f);
-}
-
-void SpanRecorder::drop_slow(std::uint64_t k, std::int64_t t_ns,
+void SpanRecorder::drop_slow(SpanHandle h, std::int64_t t_ns,
                              std::int32_t reason) {
-  Flight* f = find_flight(k);
-  if (!f) return;
+  assert(h.rec == this && "returns surface on the sender's shard");
+  Flight* f = live_flight(h);
+  if (f == nullptr) return;
   SpanTrace& t = f->t;
   if (t.edge_count < SpanTrace::kMaxEdges) {
     t.edges[t.edge_count++] =
@@ -235,13 +181,25 @@ void SpanRecorder::drop_slow(std::uint64_t k, std::int64_t t_ns,
   }
   t.returned = true;
   returned_c_.inc();
-  commit(std::move(t));
-  erase_flight(*f);
+  retire(*f, h.slot);
+}
+
+void SpanRecorder::retire(Flight& f, std::uint32_t slot) {
+  commit(std::move(f.t));
+  ++f.gen;
+  free_.push_back(slot);
+  --live_;
+}
+
+void SpanRecorder::flush_outbox() {
+  for (const Deferred& d : outbox_) d.h.rec->point(d.h, d.p, d.t_ns, d.hops);
+  outbox_.clear();
 }
 
 void SpanRecorder::commit(SpanTrace&& t) {
   const std::uint64_t rk = (static_cast<std::uint64_t>(t.node) << 32) | t.ep;
   EpRing& r = rings_[rk];
+  if (t.complete) fold_attr(r, t);
   if (r.ring.size() < ring_capacity_) {
     r.ring.push_back(std::move(t));
     return;
@@ -250,6 +208,28 @@ void SpanRecorder::commit(SpanTrace&& t) {
   r.head = (r.head + 1) % ring_capacity_;
   ++overwritten_;
   overwritten_c_.inc();
+}
+
+void SpanRecorder::fold_attr(EpRing& r, const SpanTrace& t) {
+  if (!r.attr_bound) {
+    const std::string prefix = "host." + std::to_string(t.node) + ".ep." +
+                               std::to_string(t.ep) + ".attr.";
+    for (unsigned i = 0; i <= kAttrStageCount; ++i) {
+      r.attr[i] = reg_->histogram(prefix + kAttrNames[i]);
+    }
+    r.attr_bound = true;
+  }
+  const auto cp = t.critical_path();
+  std::array<std::int64_t, kAttrStageCount> ns{};
+  std::int64_t e2e = 0;  // the stages telescope to e2e_ns()
+  for (unsigned s = 0; s < kSpanStageCount; ++s) {
+    ns[kAttrOfStage[s]] += cp[s];
+    e2e += cp[s];
+  }
+  for (unsigned i = 0; i < kAttrStageCount; ++i) {
+    r.attr[i].record(static_cast<double>(ns[i]));
+  }
+  r.attr[kAttrStageCount].record(static_cast<double>(e2e));
 }
 
 std::vector<SpanTrace> SpanRecorder::collect() const {
@@ -264,11 +244,13 @@ std::vector<SpanTrace> SpanRecorder::collect() const {
 }
 
 void SpanRecorder::clear() {
-  for (Flight& f : flights_) f.state = 0;
-  flight_count_ = 0;
-  flight_fill_ = 0;
+  free_.clear();
+  for (std::uint32_t slot = 0; slot < flights_.size(); ++slot) {
+    ++flights_[slot].gen;
+    free_.push_back(slot);
+  }
+  live_ = 0;
   rings_.clear();
-  live_.fill(0);
 }
 
 // -------------------------------------------------------------- TailReport
@@ -415,8 +397,58 @@ std::string render_tail_report(const TailReport& r) {
   return out;
 }
 
-std::string render_tail_report(const SpanRecorder& rec) {
-  return render_tail_report(tail_report(rec.collect()));
+// ------------------------------------------------------------- attribution
+
+double AttrSummary::stage_sum_mean_ns() const {
+  double s = 0;
+  for (const HistogramData& h : stages) s += h.mean();
+  return s;
+}
+
+AttrSummary summarize_attr(const Snapshot& snap) {
+  AttrSummary out;
+  for (const auto& [name, data] : snap.histograms) {
+    const std::size_t pos = name.find(".attr.");
+    if (pos == std::string::npos) continue;
+    const std::string_view leaf = std::string_view(name).substr(pos + 6);
+    for (unsigned i = 0; i <= kAttrStageCount; ++i) {
+      if (leaf == kAttrNames[i]) {
+        (i < kAttrStageCount ? out.stages[i] : out.e2e).merge(data);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::string render_attr_report(const Snapshot& snap) {
+  const AttrSummary s = summarize_attr(snap);
+  if (s.e2e.count == 0) return {};
+  std::string out;
+  char line[192];
+  std::snprintf(line, sizeof(line), "%-12s %8s %9s %9s %9s %9s\n", "stage",
+                "count", "mean_us", "p50_us", "p95_us", "max_us");
+  out += line;
+  auto row = [&](const char* name, const HistogramData& h) {
+    std::snprintf(line, sizeof(line), "%-12s %8llu %9.3f %9.3f %9.3f %9.3f\n",
+                  name, static_cast<unsigned long long>(h.count),
+                  h.mean() / 1e3, h.quantile(0.5) / 1e3,
+                  h.quantile(0.95) / 1e3, h.max_seen / 1e3);
+    out += line;
+  };
+  for (unsigned i = 0; i < kAttrStageCount; ++i) {
+    row(kAttrNames[i], s.stages[i]);
+  }
+  row("e2e", s.e2e);
+  const double sum = s.stage_sum_mean_ns();
+  const double e2e = s.e2e.mean();
+  const double delta = e2e > 0 ? (sum - e2e) / e2e * 100.0 : 0.0;
+  std::snprintf(line, sizeof(line),
+                "stage sum of means %.3f us vs measured e2e mean %.3f us "
+                "(delta %+.2f%%)\n",
+                sum / 1e3, e2e / 1e3, delta);
+  out += line;
+  return out;
 }
 
 }  // namespace vnet::obs

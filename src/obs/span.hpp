@@ -10,18 +10,17 @@
 
 namespace vnet::obs {
 
-/// Causal span capture (DESIGN.md §12).
+/// Causal span capture (DESIGN.md §12) and the latency attribution derived
+/// from it (§8).
 ///
-/// AttrRecorder (attr.hpp) folds each pipeline boundary into an independent
-/// per-stage histogram — good for aggregate LogP decomposition, useless for
-/// asking "which stage made *this* slow message slow", because the
-/// per-stage marginals lose the per-message joint. SpanRecorder keeps the
-/// joint: each sampled message carries its full ordered boundary vector
-/// (plus retransmission / return-to-sender edges) as one SpanTrace, parked
-/// in a fixed-size per-endpoint ring. The analysis layer on top —
-/// critical-path extraction and the differential tail profiler — is what
-/// ROADMAP item 3's p99/p99.9 reporting and item 1's events-per-message
-/// hunt both read from.
+/// SpanRecorder is the simulator's one per-message recorder. Each sampled
+/// message keeps its full ordered boundary vector (plus retransmission /
+/// return-to-sender edges) as one SpanTrace, parked in a fixed-size
+/// per-endpoint ring; that joint is what answers "which stage made *this*
+/// slow message slow". When a trace completes, its critical path is also
+/// folded into the per-endpoint `host.<n>.ep.<e>.attr.<stage>` histograms,
+/// the aggregate LogP decomposition of the paper's Figure 3 (see
+/// summarize_attr / render_attr_report).
 ///
 /// The span model is a degenerate DAG: one root span per message whose
 /// children are the eight pipeline stages chained parent→child in boundary
@@ -33,14 +32,12 @@ namespace vnet::obs {
 /// SpanTrace::critical_path().
 ///
 /// obs depends on nothing above it: timestamps are plain nanosecond
-/// integers supplied by the stamping layers (am, lanai, myrinet), and the
-/// recorder is reached through sim::Engine (which owns one next to the
-/// AttrRecorder).
+/// integers supplied by the stamping layers (am, lanai), and the recorder
+/// is reached through sim::Engine (one per engine shard).
 
-/// The nine pipeline boundaries of one message, in causal order. This is
-/// attr.hpp's eight-boundary set plus kGateOpen, which splits the old
-/// opaque doorbell→pickup gap into doorbell-coalesce wait vs. tx queue
-/// wait — the two queues PR 7's batching introduced.
+/// The nine pipeline boundaries of one message, in causal order. kGateOpen
+/// splits the doorbell→pickup gap into doorbell-coalesce wait vs. tx queue
+/// wait, the two queues of the batched datapath (§11).
 enum class SpanPoint : unsigned {
   kEnqueue = 0,  ///< application began writing the send descriptor
   kDoorbell,     ///< host finished the descriptor write and rang the NIC
@@ -56,6 +53,12 @@ enum class SpanPoint : unsigned {
 inline constexpr unsigned kSpanPointCount = 9;
 /// Stage `i` is the interval from boundary `i` to boundary `i+1`.
 inline constexpr unsigned kSpanStageCount = kSpanPointCount - 1;
+
+/// Figure 3's LogP stages: the `attr.<stage>` histograms that every complete
+/// trace folds into. os = host_enqueue, nic_tx_wait = doorbell_gate +
+/// tx_queue, nic_tx = tx_service, wire = wire, nic_rx = rx_service, wake =
+/// wake, or = handler; an eighth histogram, attr.e2e, holds end-to-end.
+inline constexpr unsigned kAttrStageCount = 7;
 
 /// Name of stage `i`: "host_enqueue", "doorbell_gate", "tx_queue",
 /// "tx_service", "wire", "rx_service", "wake", "handler".
@@ -73,6 +76,8 @@ struct SpanEdge {
   Kind kind = Kind::kRetransmit;
   std::int64_t at_ns = 0;
   std::int32_t arg = 0;  ///< retry ordinal / return reason
+
+  bool operator==(const SpanEdge&) const = default;
 };
 
 /// One sampled message's complete causal record.
@@ -105,11 +110,40 @@ struct SpanTrace {
   /// is what makes the tail report's reconciliation an identity rather
   /// than an estimate.
   std::array<std::int64_t, kSpanStageCount> critical_path() const;
+
+  bool operator==(const SpanTrace&) const = default;
+};
+
+class SpanRecorder;
+
+/// A traced message's reference to its own flight: the recorder that began
+/// it, the flight's slab slot, and that slot's generation at begin(). Null
+/// when the message was not sampled. Messages carry it end to end as
+/// simulator metadata with zero wire bytes (lanai::SendDescriptor → every
+/// Frame built from it, retransmits included → lanai::RecvEntry), so every
+/// stamp site names its flight directly — the trace-context idiom of
+/// distributed tracing.
+struct SpanHandle {
+  SpanRecorder* rec = nullptr;
+  std::uint32_t slot = 0;
+  std::uint32_t gen = 0;
+
+  explicit operator bool() const { return rec != nullptr; }
 };
 
 /// Flight recorder for spans: admission via a 1-in-N sampling knob,
 /// first-wins boundary stamps (retransmission-safe), completed traces
 /// committed to a fixed-size overwrite-oldest ring per source endpoint.
+///
+/// Flights live in a slab with a free list. A handle whose generation no
+/// longer matches its slot (the flight finished, was returned, or clear()
+/// dropped it) stamps nothing.
+///
+/// Sharded runs: a flight lives in the recorder of the shard that began it.
+/// A stamp whose handle names another shard's recorder is queued in the
+/// stamping recorder's outbox and applied by flush_outbox() at the next
+/// window barrier (sim::ShardGroup). Only rx-side boundaries (kWireDeliver
+/// onward) ever do this; edges and returns happen on the sender's shard.
 class SpanRecorder {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 256;
@@ -120,13 +154,11 @@ class SpanRecorder {
   SpanRecorder& operator=(const SpanRecorder&) = delete;
 
   /// Sampling-rate knob: track one in every `n` sent messages. 0 disables
-  /// tracking entirely (the default) — stamp sites then cost one branch —
-  /// and 1 tracks every message.
+  /// tracking entirely (the default) — no message then carries a handle,
+  /// so every stamp site costs one null test — and 1 tracks every message.
   void set_sample_interval(std::uint32_t n) {
     interval_ = n;
     skip_left_ = 0;  // first message after (re)enabling is tracked
-    // Pre-size the in-flight table so the common case never rehashes.
-    if (n != 0 && flights_.empty()) rehash_flights(kInitialFlightSlots);
   }
   std::uint32_t sample_interval() const { return interval_; }
   bool enabled() const { return interval_ != 0; }
@@ -136,69 +168,70 @@ class SpanRecorder {
   void set_ring_capacity(std::size_t n);
   std::size_t ring_capacity() const { return ring_capacity_; }
 
-  /// Same packed flight key as AttrRecorder::key, so stamp sites compute
-  /// it once and feed both recorders.
-  static std::uint64_t key(std::uint32_t src_node, std::uint32_t src_ep,
-                           std::uint64_t msg_id) {
-    return (static_cast<std::uint64_t>(src_node & 0xffffu) << 48) |
-           (static_cast<std::uint64_t>(src_ep & 0xffffu) << 32) |
-           (msg_id & 0xffffffffu);
-  }
-
   /// Admission at the kEnqueue boundary (`t_ns` may be earlier than "now":
   /// the caller learns the message id only after the descriptor write it
-  /// is timing). Applies the sampling knob; returns true if tracked.
-  /// Inline so the 63-in-64 skip path is a branch and a decrement — no
-  /// call, no division.
-  bool begin(std::uint32_t src_node, std::uint32_t src_ep,
-             std::uint64_t msg_id, std::int64_t t_ns) {
-    if (interval_ == 0) return false;
+  /// is timing). Applies the sampling knob; returns the new flight's
+  /// handle, or a null handle if the message is not tracked. Inline so the
+  /// 63-in-64 skip path is a branch and a decrement — no call, no division.
+  SpanHandle begin(std::uint32_t src_node, std::uint32_t src_ep,
+                   std::uint64_t msg_id, std::int64_t t_ns) {
+    if (interval_ == 0) return {};
     if (skip_left_ != 0) {
       --skip_left_;
-      return false;
+      return {};
     }
     skip_left_ = interval_ - 1;
     return begin_slow(src_node, src_ep, msg_id, t_ns);
   }
 
-  /// Records boundary `p` of a tracked flight. Unknown keys are ignored;
-  /// repeated stamps keep the first value (retransmissions re-cross
-  /// kNicPickup/kWireInject; the span keeps first pickup / first inject
-  /// and counts the retry as an edge instead). The occupancy-filter miss
-  /// path is inline: untracked messages pay a multiply and one hot array
-  /// load per stamp site, no call.
-  void point(std::uint64_t k, SpanPoint p, std::int64_t t_ns) {
-    if (live_[filter_bucket(k)] != 0) point_slow(k, p, t_ns);
+  /// Records boundary `p` of the flight `h` names. Repeated stamps keep
+  /// the first value (retransmissions re-cross kNicPickup/kWireInject; the
+  /// span keeps first pickup / first inject and counts the retry as an
+  /// edge instead). `hops` annotates the wire stage with the delivering
+  /// packet's hop count (the maximum is kept). kHandlerDone is finish().
+  void point(SpanHandle h, SpanPoint p, std::int64_t t_ns,
+             std::uint8_t hops = 0) {
+    if (!h) return;
+    if (h.rec != this) {
+      defer(h, p, t_ns, hops);
+      return;
+    }
+    Flight* f = live_flight(h);
+    if (f == nullptr) return;
+    std::int64_t& at = f->t.at[static_cast<unsigned>(p)];
+    if (at < 0) at = t_ns;
+    if (hops > f->t.wire_hops) f->t.wire_hops = hops;
+    if (p == SpanPoint::kHandlerDone) complete(*f, h.slot);
+  }
+
+  /// Final boundary: stamps kHandlerDone, folds the critical path into the
+  /// source endpoint's attr.<stage> histograms, and commits the trace to
+  /// its ring.
+  void finish(SpanHandle h, std::int64_t t_ns) {
+    point(h, SpanPoint::kHandlerDone, t_ns);
   }
 
   /// Hangs a causal edge off a tracked flight (kRetransmit bumps the
   /// retransmit counter even when the inline edge array is full).
-  void edge(std::uint64_t k, SpanEdge::Kind kind, std::int64_t t_ns,
+  void edge(SpanHandle h, SpanEdge::Kind kind, std::int64_t t_ns,
             std::int32_t arg = 0) {
-    if (live_[filter_bucket(k)] != 0) edge_slow(k, kind, t_ns, arg);
-  }
-
-  /// Annotates the wire stage with the delivering packet's hop count
-  /// (keeps the maximum across fragments).
-  void set_wire_hops(std::uint64_t k, std::uint8_t hops) {
-    if (live_[filter_bucket(k)] != 0) hops_slow(k, hops);
-  }
-
-  /// Final boundary: stamps kHandlerDone and commits the trace to its
-  /// source endpoint's ring.
-  void finish(std::uint64_t k, std::int64_t t_ns) {
-    if (live_[filter_bucket(k)] != 0) finish_slow(k, t_ns);
+    if (h) edge_slow(h, kind, t_ns, arg);
   }
 
   /// Transport returned the message to its sender: records the edge and
-  /// commits the (incomplete, returned) trace — unlike AttrRecorder the
-  /// tail profiler *wants* these, they explain tail mass.
-  void drop_returned(std::uint64_t k, std::int64_t t_ns,
+  /// commits the (incomplete, returned) trace. It folds into no histogram,
+  /// but the tail profiler *wants* it: returns explain tail mass.
+  void drop_returned(SpanHandle h, std::int64_t t_ns,
                      std::int32_t reason = 0) {
-    if (live_[filter_bucket(k)] != 0) drop_slow(k, t_ns, reason);
+    if (h) drop_slow(h, t_ns, reason);
   }
 
-  std::size_t inflight() const { return flight_count_; }
+  /// Applies every stamp queued for other recorders' flights to its owner,
+  /// in queue order, and empties the outbox. Call only when no shard is
+  /// executing (a window barrier).
+  void flush_outbox();
+
+  std::size_t inflight() const { return live_; }
   std::uint64_t tracked() const { return tracked_; }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t overwritten() const { return overwritten_; }
@@ -208,59 +241,56 @@ class SpanRecorder {
   /// deterministic simulation.
   std::vector<SpanTrace> collect() const;
 
-  /// Drops retained traces and in-flight state (counters survive).
+  /// Drops retained traces and in-flight state (counters survive); every
+  /// outstanding handle goes stale.
   void clear();
 
  private:
+  struct Flight {
+    SpanTrace t;
+    std::uint32_t gen = 0;  ///< bumped whenever the slot is released
+  };
+  /// A stamp for another recorder's flight, held until the barrier.
+  struct Deferred {
+    SpanHandle h;
+    std::int64_t t_ns = 0;
+    SpanPoint p = SpanPoint::kEnqueue;
+    std::uint8_t hops = 0;
+  };
   struct EpRing {
     std::vector<SpanTrace> ring;
     std::size_t head = 0;  ///< oldest slot once the ring is full
+    /// attr.<stage> histograms (the seven stages, then e2e), registered at
+    /// the endpoint's first complete trace.
+    std::array<Histogram, kAttrStageCount + 1> attr;
+    bool attr_bound = false;
   };
 
-  /// In-flight storage: open-addressed, power-of-two flat table with
-  /// linear probing and tombstone deletion. Chosen over unordered_map for
-  /// the full-sampling hot path: a probe is multiply-shift-load-compare
-  /// (no modulo by a prime bucket count, no node chase, no allocator
-  /// traffic — slots are recycled in place).
-  struct Flight {
-    std::uint64_t key = 0;
-    std::uint8_t state = 0;  ///< 0 empty, 1 live, 2 tombstone
-    SpanTrace t;
-  };
-
-  static constexpr std::size_t kInitialFlightSlots = 256;
   /// Messages sent but never finished would otherwise accumulate; cap the
-  /// in-flight table like AttrRecorder does.
+  /// live flights.
   static constexpr std::size_t kMaxInflight = 1 << 16;
 
-  bool begin_slow(std::uint32_t src_node, std::uint32_t src_ep,
-                  std::uint64_t msg_id, std::int64_t t_ns);
-  void point_slow(std::uint64_t k, SpanPoint p, std::int64_t t_ns);
-  void edge_slow(std::uint64_t k, SpanEdge::Kind kind, std::int64_t t_ns,
+  SpanHandle begin_slow(std::uint32_t src_node, std::uint32_t src_ep,
+                        std::uint64_t msg_id, std::int64_t t_ns);
+  /// Queues a stamp for another recorder's flight in this one's outbox.
+  void defer(SpanHandle h, SpanPoint p, std::int64_t t_ns, std::uint8_t hops);
+  /// kHandlerDone reached: counts the completion and retires the flight.
+  void complete(Flight& f, std::uint32_t slot);
+  void edge_slow(SpanHandle h, SpanEdge::Kind kind, std::int64_t t_ns,
                  std::int32_t arg);
-  void hops_slow(std::uint64_t k, std::uint8_t hops);
-  void finish_slow(std::uint64_t k, std::int64_t t_ns);
-  void drop_slow(std::uint64_t k, std::int64_t t_ns, std::int32_t reason);
+  void drop_slow(SpanHandle h, std::int64_t t_ns, std::int32_t reason);
 
-  Flight* find_flight(std::uint64_t k);
-  SpanTrace* insert_flight(std::uint64_t k);
-  void erase_flight(Flight& f);
-  void rehash_flights(std::size_t new_slots);
+  /// The live flight `h` names in this recorder, or nullptr if stale.
+  Flight* live_flight(SpanHandle h) {
+    Flight& f = flights_[h.slot];
+    return f.gen == h.gen ? &f : nullptr;
+  }
+  /// Commits the flight's trace and returns its slot to the free list.
+  void retire(Flight& f, std::uint32_t slot);
   void commit(SpanTrace&& t);
+  void fold_attr(EpRing& r, const SpanTrace& t);
 
-  std::size_t hash_slot(std::uint64_t k) const {
-    return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  /// Occupancy filter over the in-flight table: every stamp site fires on
-  /// every message but only 1-in-N messages are tracked, so at wide
-  /// sampling intervals almost every point()/finish() is a miss. A 64-way
-  /// occupancy count (4 always-hot cache lines) lets the inline miss path
-  /// bail without touching the much larger flat table.
-  static unsigned filter_bucket(std::uint64_t k) {
-    return static_cast<unsigned>((k * 0x9E3779B97F4A7C15ull) >> 58);
-  }
-
+  MetricsRegistry* reg_;
   std::uint32_t interval_ = 0;
   std::uint32_t skip_left_ = 0;  ///< messages until the next admission
   std::size_t ring_capacity_ = kDefaultRingCapacity;
@@ -268,11 +298,10 @@ class SpanRecorder {
   std::uint64_t completed_ = 0;
   std::uint64_t overwritten_ = 0;
   Counter tracked_c_, completed_c_, overwritten_c_, returned_c_;
-  std::array<std::uint32_t, 64> live_{};  ///< filter-bucket occupancy
-  std::vector<Flight> flights_;    ///< power-of-two open-addressed table
-  unsigned shift_ = 64;            ///< 64 − log2(flights_.size())
-  std::size_t flight_count_ = 0;   ///< live entries
-  std::size_t flight_fill_ = 0;    ///< live + tombstone entries
+  std::vector<Flight> flights_;      ///< the slab; never shrinks
+  std::vector<std::uint32_t> free_;  ///< released slots, reused LIFO
+  std::size_t live_ = 0;
+  std::vector<Deferred> outbox_;
   std::map<std::uint64_t, EpRing> rings_;  ///< keyed (node<<32)|ep, ordered
 };
 
@@ -323,6 +352,24 @@ TailReport tail_report(const std::vector<SpanTrace>& traces);
 /// "top p99 culprits:" line (consumed by CI's step summary). Returns "" if
 /// there are no complete traces.
 std::string render_tail_report(const TailReport& r);
-std::string render_tail_report(const SpanRecorder& rec);
+
+/// Cluster-wide attribution summary extracted from a Snapshot: each
+/// attr.<stage> histogram merged across every endpoint, in pipeline order.
+struct AttrSummary {
+  std::array<HistogramData, kAttrStageCount> stages;
+  HistogramData e2e;
+
+  /// Sum of per-stage means. Every folded trace's stages telescope to its
+  /// e2e, so this reconciles with e2e.mean() up to rounding.
+  double stage_sum_mean_ns() const;
+};
+
+AttrSummary summarize_attr(const Snapshot& snap);
+
+/// The LogP report: per-stage count/mean/p50/p95/max table (in
+/// microseconds) followed by the stage-sum vs measured end-to-end
+/// reconciliation line. Returns "" if the snapshot holds no attribution
+/// data.
+std::string render_attr_report(const Snapshot& snap);
 
 }  // namespace vnet::obs

@@ -128,22 +128,7 @@ obs::Snapshot ShardGroup::merged_snapshot() const {
     for (const auto& [name, v] : snap.gauges) out.gauges[name] += v;
     for (const auto& [name, h] : snap.histograms) {
       auto [it, fresh] = out.histograms.try_emplace(name, h);
-      if (fresh) continue;
-      obs::HistogramData& acc = it->second;
-      if (h.count > 0) {
-        acc.min_seen = acc.count ? std::min(acc.min_seen, h.min_seen)
-                                 : h.min_seen;
-        acc.max_seen = acc.count ? std::max(acc.max_seen, h.max_seen)
-                                 : h.max_seen;
-      }
-      acc.count += h.count;
-      acc.sum += h.sum;
-      if (acc.buckets.size() < h.buckets.size()) {
-        acc.buckets.resize(h.buckets.size(), 0);
-      }
-      for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-        acc.buckets[b] += h.buckets[b];
-      }
+      if (!fresh) it->second.merge(h);
     }
   }
   return out;
@@ -184,10 +169,33 @@ void ShardGroup::run_until(Time t) {
   for (auto& e : engines_) e->run_until(t);
 }
 
+std::vector<obs::SpanTrace> ShardGroup::collect_spans() const {
+  if (engines_.size() == 1) return engines_[0]->spans().collect();
+  std::vector<obs::SpanTrace> out;
+  for (const auto& e : engines_) {
+    std::vector<obs::SpanTrace> part = e->spans().collect();
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  // A source endpoint's traces all live on its own shard, already in
+  // commit order; a stable sort by (node, ep) keeps that order.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const obs::SpanTrace& a, const obs::SpanTrace& b) {
+                     return a.node != b.node ? a.node < b.node : a.ep < b.ep;
+                   });
+  return out;
+}
+
+void ShardGroup::drain_barrier() {
+  router_.deliver(*this);
+  // Span stamps for flights begun on another shard. Schedules no event, so
+  // event streams and replay digests are the same with spans on or off.
+  for (auto& e : engines_) e->spans().flush_outbox();
+}
+
 void ShardGroup::run_windows_sequential(const std::function<bool()>& done,
                                         Time limit) {
   for (;;) {
-    router_.deliver(*this);
+    drain_barrier();
     if (done && done()) break;
     const Time m = min_next_event();
     if (m == kIdle || m >= limit) break;
@@ -204,11 +212,11 @@ void ShardGroup::run_windows_threaded(const std::function<bool()>& done) {
   window_end_ = 0;
   // The completion step runs on the last-arriving worker with every other
   // worker parked at the barrier: the only moment mutable cross-shard work
-  // (record drain, window advance) is safe. The barrier's synchronization
+  // (record and span-stamp drain, window advance) is safe. The barrier's synchronization
   // orders it before any worker resumes.
   auto boundary = [this, &done]() noexcept {
     router_.end_window();
-    router_.deliver(*this);
+    drain_barrier();
     const Time m = min_next_event();
     if ((done && done()) || m == kIdle) {
       stop_ = true;

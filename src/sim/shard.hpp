@@ -159,6 +159,11 @@ class ShardGroup {
   /// returns engine(0).snapshot() verbatim.
   obs::Snapshot merged_snapshot() const;
 
+  /// Every shard's retained span traces, merged in (node, ep) order with
+  /// commit order kept within an endpoint. A 1-shard group returns
+  /// engine(0).spans().collect() verbatim.
+  std::vector<obs::SpanTrace> collect_spans() const;
+
   /// Engine::shutdown() across shards in index order (teardown ordering
   /// for Cluster's destructor).
   void shutdown_all();
@@ -177,6 +182,11 @@ class ShardGroup {
   /// Global min next-event time, or kIdle when every queue is empty.
   static constexpr Time kIdle = INT64_MAX;
   Time min_next_event();
+
+  /// The barrier step: routes every buffered cross-shard record, then
+  /// applies every queued cross-shard span stamp to its owning recorder
+  /// (shards in index order). Only called with no window executing.
+  void drain_barrier();
 
   void run_windows_sequential(const std::function<bool()>& done, Time limit);
   void run_windows_threaded(const std::function<bool()>& done);

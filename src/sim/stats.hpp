@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace vnet::sim {
 
@@ -44,67 +42,6 @@ class Summary {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Log2-bucketed histogram for long-tailed distributions (round-trip times
-/// under contention are strongly bimodal — see §6.4.1 of the paper — and a
-/// mean alone hides that).
-class Histogram {
- public:
-  void add(double x) {
-    summary_.add(x);
-    std::size_t b = bucket_of(x);
-    if (buckets_.size() <= b) buckets_.resize(b + 1, 0);
-    ++buckets_[b];
-  }
-
-  const Summary& summary() const { return summary_; }
-
-  /// Approximate quantile (q in [0,1]) from bucket midpoints.
-  double quantile(double q) const {
-    const std::uint64_t n = summary_.count();
-    if (n == 0) return 0.0;
-    auto target = static_cast<std::uint64_t>(q * static_cast<double>(n - 1));
-    std::uint64_t seen = 0;
-    for (std::size_t b = 0; b < buckets_.size(); ++b) {
-      seen += buckets_[b];
-      if (seen > target) return bucket_mid(b);
-    }
-    return summary_.max();
-  }
-
-  /// Number of populated buckets; useful for detecting multi-modality.
-  std::size_t mode_count() const {
-    std::size_t modes = 0;
-    for (std::size_t b = 0; b < buckets_.size(); ++b) {
-      const std::uint64_t cur = buckets_[b];
-      if (cur == 0) continue;
-      const std::uint64_t prev = b > 0 ? buckets_[b - 1] : 0;
-      const std::uint64_t next = b + 1 < buckets_.size() ? buckets_[b + 1] : 0;
-      if (cur >= prev && cur >= next) ++modes;
-    }
-    return modes;
-  }
-
-  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-
-  void reset() {
-    summary_.reset();
-    buckets_.clear();
-  }
-
- private:
-  static std::size_t bucket_of(double x) {
-    if (x < 1.0) return 0;
-    return static_cast<std::size_t>(std::ilogb(x)) + 1;
-  }
-  static double bucket_mid(std::size_t b) {
-    if (b == 0) return 0.5;
-    return 1.5 * std::ldexp(1.0, static_cast<int>(b) - 1);
-  }
-
-  Summary summary_;
-  std::vector<std::uint64_t> buckets_;
 };
 
 /// Least-squares fit y = a*x + b over accumulated points; used to recover

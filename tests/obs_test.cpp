@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -215,6 +217,49 @@ TEST(Metrics, HistogramQuantileWithinFivePercentOfExact) {
     const double want = exact(q);
     EXPECT_NEAR(d.quantile(q), want, want * 0.05) << "q=" << q;
   }
+}
+
+// record() finds a sample's bucket from the double's exponent and top
+// mantissa bits; the ilogb/ldexp formula it replaced is kept here as the
+// reference. Each sample must land in exactly the reference bucket.
+TEST(Metrics, HistogramBucketsMatchLibmReference) {
+  const auto reference_bucket = [](double x) -> std::size_t {
+    constexpr std::uint32_t kSub = HistogramData::kSubBuckets;
+    if (x < 1.0) return 0;
+    const int m = std::ilogb(x);
+    auto s = static_cast<std::uint32_t>((std::ldexp(x, -m) - 1.0) * kSub);
+    if (s >= kSub) s = kSub - 1;
+    return 1 + static_cast<std::size_t>(m) * kSub + s;
+  };
+  // Records x and reports whether exactly its reference bucket grew.
+  HistogramData d;
+  std::vector<std::uint64_t> want;
+  const auto lands_in_reference_bucket = [&](double x) {
+    d.record(x);
+    const std::size_t b = reference_bucket(x);
+    if (want.size() <= b) want.resize(b + 1, 0);
+    ++want[b];
+    return b < d.buckets.size() && d.buckets[b] == want[b];
+  };
+
+  for (int k = -10; k <= 110; ++k) {
+    const double p = std::ldexp(1.0, k);
+    ASSERT_TRUE(lands_in_reference_bucket(p)) << "x=" << p;
+    const double below = std::nextafter(p, 0.0);
+    ASSERT_TRUE(lands_in_reference_bucket(below)) << "x=" << below;
+  }
+  for (std::uint32_t i = 0; i <= (1u << 20); ++i) {
+    ASSERT_TRUE(lands_in_reference_bucket(i)) << "x=" << i;
+  }
+  std::mt19937_64 rng(0x5eed);
+  std::uniform_real_distribution<double> exponent(-10.0, 110.0);
+  for (int i = 0; i < 200000; ++i) {
+    const double x = std::exp2(exponent(rng));
+    ASSERT_TRUE(lands_in_reference_bucket(x)) << "x=" << x;
+  }
+  // Negatives share bucket 0 with [0, 1).
+  ASSERT_TRUE(lands_in_reference_bucket(-3.5));
+  EXPECT_EQ(d.buckets, want);
 }
 
 TEST(Metrics, HistogramDiffSubtractsCounts) {

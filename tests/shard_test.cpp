@@ -1,7 +1,8 @@
 // Parallel deterministic simulation (sim/shard.hpp): the shard router's
 // merge order and lookahead guard, cross-shard link FIFO + flow control,
 // the shards=1 windowed oracle (digest-identical to the serial engine),
-// multi-shard run-to-run determinism, and a 1000-host smoke run.
+// multi-shard run-to-run determinism, span capture across shards, and a
+// 1000-host smoke run.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/config.hpp"
 #include "myrinet/link.hpp"
+#include "obs/span.hpp"
 #include "sim/process.hpp"
 #include "sim/shard.hpp"
 #include "sim/task.hpp"
@@ -229,6 +231,109 @@ TEST(ShardDeterminism, ThreadedMatchesSequentialSchedule) {
   EXPECT_EQ(threaded.digest, sequential.digest);
   EXPECT_EQ(threaded.events, sequential.events);
   EXPECT_EQ(threaded.handled, sequential.handled);
+}
+
+// The request/reply shape of bench_engine's sharded_1k entries, scaled
+// down: clients on the far end of a fat-tree each fire pipelined requests
+// at a server on a distant leaf, so most messages cross shards. All state
+// is local to host coroutines, so it is safe on threaded shards.
+struct SpanRun {
+  std::uint64_t digest = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t tracked = 0;
+  std::uint64_t completed = 0;
+  std::size_t inflight = 0;
+  std::vector<obs::SpanTrace> traces;
+};
+
+SpanRun run_span_workload(int shards, bool threads, bool spans) {
+  constexpr int kHosts = 256;
+  constexpr int kPairs = kHosts / 2;
+  constexpr int kRequests = 20;
+  cluster::ClusterConfig cfg = cluster::NowConfig(kHosts);
+  cfg.topology = cluster::ClusterConfig::Topology::kFatTree;
+  cfg.hosts_per_leaf = 8;
+  cfg.spines = 4;
+  cfg.shards = shards;
+  cfg.shard_threads = threads;
+  cluster::Cluster cl(cfg);
+  if (spans) {
+    for (int s = 0; s < cl.shards(); ++s) {
+      cl.shard_group().engine(s).spans().set_sample_interval(1);
+    }
+  }
+
+  constexpr std::uint64_t kKey = 0x5a000;
+  for (int p = 0; p < kPairs; ++p) {
+    const int server_node = p;
+    const int client_node = kHosts - 1 - p;
+    cl.spawn_thread(server_node, "s", [=](host::HostThread& t) -> sim::Task<> {
+      auto ep = co_await am::Endpoint::create(t, kKey + server_node);
+      int got = 0;
+      ep->set_handler(1, [&got](am::Endpoint&, const am::Message& m) {
+        ++got;
+        m.reply(2, {m.arg(0)});
+      });
+      while (got < kRequests) {
+        if (co_await ep->wait_events_for(t, am::kEventArrivals, 1 * sim::ms)) {
+          co_await ep->poll(t, 32);
+        }
+      }
+      while (ep->credits_in_use() > 0) co_await ep->poll(t, 16);
+    });
+    cl.spawn_thread(client_node, "c", [=](host::HostThread& t) -> sim::Task<> {
+      auto ep = co_await am::Endpoint::create(t, 2 * kKey + client_node);
+      ep->map_raw(0, server_node, /*ep=*/1, kKey + server_node);
+      for (int i = 0; i < kRequests; ++i) co_await ep->request(t, 0, 1, 1);
+      while (ep->credits_in_use() > 0) co_await ep->poll(t, 16);
+    });
+  }
+  cl.run_to_completion();
+
+  SpanRun out;
+  out.digest = cl.replay_digest();
+  out.sent = 2 * static_cast<std::uint64_t>(kPairs) * kRequests;
+  for (int s = 0; s < cl.shards(); ++s) {
+    const obs::SpanRecorder& rec = cl.shard_group().engine(s).spans();
+    out.tracked += rec.tracked();
+    out.completed += rec.completed();
+    out.inflight += rec.inflight();
+  }
+  out.traces = cl.collect_spans();
+  return out;
+}
+
+// A flight lives in its sender's shard; the receiver's stamps cross back
+// at the window barrier. Every traced message must complete at every shard
+// count, and tracing must not perturb the simulated schedule.
+TEST(ShardSpans, CompleteAtEveryShardCount) {
+  struct Config {
+    int shards;
+    bool threads;
+  };
+  std::vector<obs::SpanTrace> threaded4, sequential4;
+  for (const Config c : {Config{1, false}, Config{2, true}, Config{2, false},
+                         Config{4, true}, Config{4, false}}) {
+    SCOPED_TRACE(testing::Message() << c.shards << " shards, "
+                                    << (c.threads ? "threaded" : "sequential"));
+    SpanRun on = run_span_workload(c.shards, c.threads, true);
+    const SpanRun off = run_span_workload(c.shards, c.threads, false);
+    EXPECT_EQ(on.tracked, on.sent);
+    EXPECT_EQ(on.completed, on.sent);
+    EXPECT_EQ(on.inflight, 0u);
+    ASSERT_EQ(on.traces.size(), on.sent);
+    for (const obs::SpanTrace& t : on.traces) {
+      ASSERT_TRUE(t.complete) << t.node << "." << t.ep << " #" << t.msg_id;
+      for (unsigned p = 0; p < obs::kSpanPointCount; ++p) {
+        ASSERT_GE(t.at[p], 0) << "boundary " << p << " of " << t.node << "."
+                              << t.ep << " #" << t.msg_id;
+      }
+    }
+    EXPECT_EQ(on.digest, off.digest);
+    EXPECT_TRUE(off.traces.empty());
+    if (c.shards == 4) (c.threads ? threaded4 : sequential4) = on.traces;
+  }
+  EXPECT_TRUE(threaded4 == sequential4);
 }
 
 TEST(ShardScale, ThousandHostSmoke) {

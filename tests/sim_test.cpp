@@ -646,23 +646,6 @@ TEST(Summary, EmptyIsZero) {
   EXPECT_EQ(s.stddev(), 0.0);
 }
 
-TEST(Histogram, QuantilesRoughlyCorrect) {
-  Histogram h;
-  for (int i = 1; i <= 1000; ++i) h.add(static_cast<double>(i));
-  EXPECT_NEAR(h.quantile(0.5), 500, 300);  // log buckets: coarse but sane
-  EXPECT_GE(h.quantile(0.99), 500);
-  EXPECT_LE(h.quantile(0.0), 2.0);
-}
-
-TEST(Histogram, DetectsBimodality) {
-  Histogram h;
-  // Fast mode around 30, slow mode around 30000 — like the bimodal RTTs of
-  // §6.4.1 (resident vs re-mapping endpoints).
-  for (int i = 0; i < 1000; ++i) h.add(30.0 + (i % 7));
-  for (int i = 0; i < 100; ++i) h.add(30'000.0 + (i % 500));
-  EXPECT_GE(h.mode_count(), 2u);
-}
-
 TEST(LinearFit, RecoversLine) {
   LinearFit fit;
   for (int n = 128; n <= 8192; n *= 2) {

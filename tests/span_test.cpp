@@ -1,8 +1,9 @@
-// Tests for the causal span stack (DESIGN.md §12): the SpanRecorder flight
-// recorder and its per-endpoint rings, critical-path extraction (stage sums
-// telescope to e2e even with missing boundaries), the differential tail
-// profiler's cohort math and rendering, and the end-to-end capture of a
-// real ping-pong run.
+// Tests for the causal span stack (DESIGN.md §12) and the latency
+// attribution folded from it (§8): the SpanRecorder flight slab, its
+// handles and per-endpoint rings, the attr.<stage> histograms fed at
+// commit, critical-path extraction (stage sums telescope to e2e even with
+// missing boundaries), the differential tail profiler's cohort math and
+// rendering, and the end-to-end capture of a real ping-pong run.
 
 #include <gtest/gtest.h>
 
@@ -42,7 +43,7 @@ TEST(Span, SamplingIntervalAdmitsOneInN) {
   MetricsRegistry reg;
   SpanRecorder rec(reg);
   EXPECT_FALSE(rec.enabled());
-  EXPECT_FALSE(rec.begin(0, 1, 99, 10));  // disabled: nothing tracked
+  EXPECT_FALSE(rec.begin(0, 1, 99, 10));  // disabled: null handle
 
   rec.set_sample_interval(3);
   int admitted = 0;
@@ -60,12 +61,12 @@ TEST(Span, FirstWinsStampsSurviveRetransmission) {
   MetricsRegistry reg;
   SpanRecorder rec(reg);
   rec.set_sample_interval(1);
-  const std::uint64_t k = SpanRecorder::key(2, 5, 7);
-  ASSERT_TRUE(rec.begin(2, 5, 7, 100));
-  rec.point(k, SpanPoint::kNicPickup, 200);
-  rec.point(k, SpanPoint::kNicPickup, 900);  // retransmit re-crosses: ignored
-  rec.edge(k, SpanEdge::Kind::kRetransmit, 900, 1);
-  rec.finish(k, 1000);
+  const SpanHandle h = rec.begin(2, 5, 7, 100);
+  ASSERT_TRUE(h);
+  rec.point(h, SpanPoint::kNicPickup, 200);
+  rec.point(h, SpanPoint::kNicPickup, 900);  // retransmit re-crosses: ignored
+  rec.edge(h, SpanEdge::Kind::kRetransmit, 900, 1);
+  rec.finish(h, 1000);
 
   const auto traces = rec.collect();
   ASSERT_EQ(traces.size(), 1u);
@@ -86,12 +87,12 @@ TEST(Span, EdgeArrayOverflowKeepsCounting) {
   MetricsRegistry reg;
   SpanRecorder rec(reg);
   rec.set_sample_interval(1);
-  const std::uint64_t k = SpanRecorder::key(0, 0, 1);
-  ASSERT_TRUE(rec.begin(0, 0, 1, 0));
+  const SpanHandle h = rec.begin(0, 0, 1, 0);
+  ASSERT_TRUE(h);
   for (int i = 0; i < 6; ++i) {
-    rec.edge(k, SpanEdge::Kind::kRetransmit, 10 * (i + 1), i);
+    rec.edge(h, SpanEdge::Kind::kRetransmit, 10 * (i + 1), i);
   }
-  rec.finish(k, 100);
+  rec.finish(h, 100);
   const auto traces = rec.collect();
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_EQ(traces[0].edge_count, SpanTrace::kMaxEdges);
@@ -104,9 +105,10 @@ TEST(Span, PerEndpointRingOverwritesOldest) {
   rec.set_sample_interval(1);
   rec.set_ring_capacity(2);
   for (std::uint64_t id = 0; id < 5; ++id) {
-    const std::uint64_t k = SpanRecorder::key(1, 1, id);
-    ASSERT_TRUE(rec.begin(1, 1, id, static_cast<std::int64_t>(10 * id)));
-    rec.finish(k, static_cast<std::int64_t>(10 * id + 5));
+    const SpanHandle h =
+        rec.begin(1, 1, id, static_cast<std::int64_t>(10 * id));
+    ASSERT_TRUE(h);
+    rec.finish(h, static_cast<std::int64_t>(10 * id + 5));
   }
   EXPECT_EQ(rec.completed(), 5u);
   EXPECT_EQ(rec.overwritten(), 3u);
@@ -126,9 +128,9 @@ TEST(Span, CollectOrdersEndpointsDeterministically) {
   for (auto [node, ep, id] : {std::array<std::uint32_t, 3>{3, 1, 30},
                               std::array<std::uint32_t, 3>{0, 2, 2},
                               std::array<std::uint32_t, 3>{0, 1, 1}}) {
-    const std::uint64_t k = SpanRecorder::key(node, ep, id);
-    ASSERT_TRUE(rec.begin(node, ep, id, 0));
-    rec.finish(k, 10);
+    const SpanHandle h = rec.begin(node, ep, id, 0);
+    ASSERT_TRUE(h);
+    rec.finish(h, 10);
   }
   const auto traces = rec.collect();
   ASSERT_EQ(traces.size(), 3u);
@@ -141,10 +143,10 @@ TEST(Span, ReturnedTraceIsCommittedAndFlagged) {
   MetricsRegistry reg;
   SpanRecorder rec(reg);
   rec.set_sample_interval(1);
-  const std::uint64_t k = SpanRecorder::key(0, 3, 9);
-  ASSERT_TRUE(rec.begin(0, 3, 9, 50));
-  rec.point(k, SpanPoint::kWireInject, 80);
-  rec.drop_returned(k, 500, /*reason=*/2);
+  const SpanHandle h = rec.begin(0, 3, 9, 50);
+  ASSERT_TRUE(h);
+  rec.point(h, SpanPoint::kWireInject, 80);
+  rec.drop_returned(h, 500, /*reason=*/2);
 
   const auto traces = rec.collect();
   ASSERT_EQ(traces.size(), 1u);
@@ -154,6 +156,198 @@ TEST(Span, ReturnedTraceIsCommittedAndFlagged) {
   EXPECT_EQ(traces[0].edges[0].kind, SpanEdge::Kind::kReturnToSender);
   EXPECT_EQ(traces[0].edges[0].arg, 2);
   EXPECT_EQ(reg.snapshot().counter("obs.span.returned"), 1u);
+}
+
+TEST(Span, StaleHandleStampsNothing) {
+  MetricsRegistry reg;
+  SpanRecorder rec(reg);
+  rec.set_sample_interval(1);
+
+  // A finished flight's slot is recycled by the next begin(); stamps
+  // through the finished flight's handle must not reach the new flight.
+  const SpanHandle done = rec.begin(0, 1, 1, 0);
+  ASSERT_TRUE(done);
+  rec.finish(done, 50);
+  const SpanHandle next = rec.begin(0, 1, 2, 100);
+  ASSERT_TRUE(next);
+  EXPECT_EQ(next.slot, done.slot);
+  rec.point(done, SpanPoint::kNicPickup, 60, /*hops=*/3);
+  rec.edge(done, SpanEdge::Kind::kRetransmit, 60);
+  rec.drop_returned(done, 70);
+  rec.finish(done, 80);
+  EXPECT_EQ(rec.completed(), 1u);
+  EXPECT_EQ(rec.inflight(), 1u);
+  EXPECT_EQ(reg.snapshot().counter("obs.span.returned"), 0u);
+
+  rec.finish(next, 150);
+  auto traces = rec.collect();
+  ASSERT_EQ(traces.size(), 2u);
+  const SpanTrace& t = traces[1];
+  EXPECT_EQ(t.msg_id, 2u);
+  EXPECT_EQ(t.at[static_cast<unsigned>(SpanPoint::kNicPickup)], -1);
+  EXPECT_EQ(t.at[static_cast<unsigned>(SpanPoint::kHandlerDone)], 150);
+  EXPECT_EQ(t.retransmits, 0u);
+  EXPECT_EQ(t.edge_count, 0u);
+  EXPECT_EQ(t.wire_hops, 0u);
+  EXPECT_FALSE(t.returned);
+
+  // clear() drops in-flight state: the live flight's handle goes stale.
+  const SpanHandle dropped = rec.begin(0, 1, 3, 200);
+  ASSERT_TRUE(dropped);
+  rec.clear();
+  EXPECT_EQ(rec.inflight(), 0u);
+  rec.point(dropped, SpanPoint::kDoorbell, 210);
+  rec.finish(dropped, 300);
+  EXPECT_EQ(rec.completed(), 2u);
+  EXPECT_TRUE(rec.collect().empty());
+  EXPECT_EQ(reg.snapshot().histogram("host.0.ep.1.attr.e2e")->count, 2u);
+}
+
+// ------------------------------------------------------------ attribution
+
+// One hand-stamped remote trace: every attr.<stage> histogram receives its
+// mapped span stages (nic_tx_wait = doorbell_gate + tx_queue).
+TEST(Attr, FoldsStageDeltasIntoEndpointHistograms) {
+  MetricsRegistry reg;
+  SpanRecorder rec(reg);
+  rec.set_sample_interval(1);
+
+  const SpanHandle h = rec.begin(3, 7, 42, 1000);
+  ASSERT_TRUE(h);
+  rec.point(h, SpanPoint::kDoorbell, 1100);
+  rec.point(h, SpanPoint::kGateOpen, 1120);
+  rec.point(h, SpanPoint::kNicPickup, 1150);
+  rec.point(h, SpanPoint::kWireInject, 1400);
+  rec.point(h, SpanPoint::kWireDeliver, 1900, /*hops=*/2);
+  rec.point(h, SpanPoint::kRxDeposit, 2200);
+  rec.point(h, SpanPoint::kHandlerWake, 2300);
+  rec.finish(h, 2550);
+
+  EXPECT_EQ(rec.completed(), 1u);
+  EXPECT_EQ(rec.inflight(), 0u);
+
+  const Snapshot snap = reg.snapshot(3000);
+  const std::string p = "host.3.ep.7.attr.";
+  struct Want {
+    const char* leaf;
+    double mean;
+  } wants[] = {{"os", 100},     {"nic_tx_wait", 50}, {"nic_tx", 250},
+               {"wire", 500},   {"nic_rx", 300},     {"wake", 100},
+               {"or", 250},     {"e2e", 1550}};
+  for (const Want& w : wants) {
+    const HistogramData* hist = snap.histogram(p + w.leaf);
+    ASSERT_NE(hist, nullptr) << w.leaf;
+    EXPECT_EQ(hist->count, 1u) << w.leaf;
+    EXPECT_DOUBLE_EQ(hist->mean(), w.mean) << w.leaf;
+  }
+
+  const AttrSummary sum = summarize_attr(snap);
+  EXPECT_DOUBLE_EQ(sum.stage_sum_mean_ns(), 1550.0);
+  EXPECT_DOUBLE_EQ(sum.e2e.mean(), 1550.0);
+  const std::string report = render_attr_report(snap);
+  EXPECT_NE(report.find("nic_tx_wait"), std::string::npos);
+  EXPECT_EQ(report.find("events"), std::string::npos);
+}
+
+TEST(Attr, SampleIntervalAdmitsOneInN) {
+  MetricsRegistry reg;
+  SpanRecorder rec(reg);
+
+  // Disabled: nothing is ever tracked.
+  EXPECT_FALSE(rec.begin(0, 0, 0, 0));
+  EXPECT_EQ(rec.tracked(), 0u);
+
+  // Only admitted messages fold: the others carry null handles.
+  rec.set_sample_interval(2);
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    rec.finish(rec.begin(0, 0, id, 0), 10);
+  }
+  EXPECT_EQ(rec.tracked(), 4u);
+  const Snapshot snap = reg.snapshot();
+  const HistogramData* e2e = snap.histogram("host.0.ep.0.attr.e2e");
+  ASSERT_NE(e2e, nullptr);
+  EXPECT_EQ(e2e->count, 4u);
+}
+
+// A trace without wire boundaries (local delivery) and without a gate
+// stamp: each gap charges to the stage where the message was, and the
+// stage means still sum to e2e.
+TEST(Attr, FirstStampWinsAndGapsChargeEarlierStage) {
+  MetricsRegistry reg;
+  SpanRecorder rec(reg);
+  rec.set_sample_interval(1);
+
+  const SpanHandle h = rec.begin(0, 1, 5, 100);
+  ASSERT_TRUE(h);
+  rec.point(h, SpanPoint::kDoorbell, 200);
+  rec.point(h, SpanPoint::kDoorbell, 900);  // repeat stamp: ignored
+  rec.point(h, SpanPoint::kNicPickup, 300);
+  rec.point(h, SpanPoint::kRxDeposit, 700);
+  rec.point(h, SpanPoint::kHandlerWake, 750);
+  rec.finish(h, 1100);
+
+  const Snapshot snap = reg.snapshot(0);
+  const std::string p = "host.0.ep.1.attr.";
+  struct Want {
+    const char* leaf;
+    double mean;
+  } wants[] = {{"os", 100},  // 200 - 100, not 900 - 100
+               {"nic_tx_wait", 100},
+               {"nic_tx", 400},  // absorbs the skipped wire stages
+               {"wire", 0},      {"nic_rx", 0},     {"wake", 50},
+               {"or", 350},      {"e2e", 1000}};
+  for (const Want& w : wants) {
+    const HistogramData* hist = snap.histogram(p + w.leaf);
+    ASSERT_NE(hist, nullptr) << w.leaf;
+    EXPECT_EQ(hist->count, 1u) << w.leaf;
+    EXPECT_DOUBLE_EQ(hist->mean(), w.mean) << w.leaf;
+  }
+  const AttrSummary sum = summarize_attr(snap);
+  EXPECT_DOUBLE_EQ(sum.stage_sum_mean_ns(), sum.e2e.mean());
+}
+
+TEST(Attr, DropForgetsFlightWithoutRecording) {
+  MetricsRegistry reg;
+  SpanRecorder rec(reg);
+  rec.set_sample_interval(1);
+
+  const SpanHandle returned = rec.begin(1, 2, 3, 0);
+  ASSERT_TRUE(returned);
+  rec.point(returned, SpanPoint::kDoorbell, 10);
+  rec.drop_returned(returned, 50);  // returned to sender
+  rec.finish(returned, 99);         // stale handle now: ignored
+  const SpanHandle unfinished = rec.begin(1, 2, 4, 0);
+  ASSERT_TRUE(unfinished);
+  rec.point(unfinished, SpanPoint::kDoorbell, 10);
+
+  EXPECT_EQ(rec.completed(), 0u);
+  EXPECT_EQ(rec.inflight(), 1u);
+  const Snapshot snap = reg.snapshot(0);
+  EXPECT_EQ(snap.histogram("host.1.ep.2.attr.e2e"), nullptr);
+  EXPECT_EQ(render_attr_report(snap), "");
+  // The returned trace is still retained for the tail profiler.
+  EXPECT_EQ(rec.collect().size(), 1u);
+}
+
+// A pure ping-pong run, every flight tracked, must decompose the one-way
+// latency into stages whose sum reconciles with the end-to-end mean, and
+// two one-way flights must reconcile with the independently measured
+// round trip within 5%.
+TEST(Attr, LogpAttributionIsDeterministicAndReconciles) {
+  const apps::LogpResult a = apps::measure_logp(
+      cluster::NowConfig(2), /*pingpongs=*/300, /*stream=*/0, true);
+  const apps::LogpResult b = apps::measure_logp(
+      cluster::NowConfig(2), /*pingpongs=*/300, /*stream=*/0, true);
+
+  // Same seed, same config: bit-identical attribution.
+  EXPECT_EQ(a.attr_report, b.attr_report);
+  EXPECT_DOUBLE_EQ(a.attr_e2e_us, b.attr_e2e_us);
+  EXPECT_DOUBLE_EQ(a.attr_stage_sum_us, b.attr_stage_sum_us);
+
+  ASSERT_GT(a.attr_e2e_us, 0.0);
+  EXPECT_NEAR(a.attr_stage_sum_us, a.attr_e2e_us, 0.01 * a.attr_e2e_us);
+  EXPECT_NEAR(2.0 * a.attr_e2e_us, a.rtt_us, 0.05 * a.rtt_us);
+  EXPECT_NE(a.attr_report.find("e2e"), std::string::npos);
 }
 
 // --------------------------------------------------------- critical path
