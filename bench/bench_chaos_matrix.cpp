@@ -33,19 +33,6 @@
 
 using namespace vnet;
 
-namespace {
-
-bool write_file(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-                  bytes.size();
-  std::fclose(f);
-  return ok;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::setbuf(stdout, nullptr);
   int seeds = 3;
@@ -169,7 +156,7 @@ int main(int argc, char** argv) {
       const std::string bytes = !outcomes[i].raw_json.empty()
                                     ? outcomes[i].raw_json
                                     : chaos::verdict_json(res).dump();
-      if (!write_file(path, bytes)) {
+      if (!bench::write_file(path, bytes)) {
         std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
       }
     }
@@ -224,7 +211,8 @@ int main(int argc, char** argv) {
             outcomes.size() == 1 ? repro_path
                                  : repro_path + "." + specs[i].name +
                                        std::to_string(specs[i].seed);
-        if (!write_file(path, chaos::repro_json(report).dump(2) + "\n")) {
+        const std::string bytes = chaos::repro_json(report).dump(2) + "\n";
+        if (!bench::write_file(path, bytes)) {
           std::fprintf(stderr, "warning: could not write %s\n",
                        path.c_str());
         }

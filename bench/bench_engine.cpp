@@ -11,7 +11,6 @@
 // speed differences and compare shape, not silicon.
 //
 // Usage: bench_engine [--json PATH] [--repeats N] [--min-secs S] [--quick]
-// (--out is a legacy alias for --json kept for existing scripts.)
 
 #include <algorithm>
 #include <chrono>
@@ -28,6 +27,7 @@
 #include "chaos/scenario.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/config.hpp"
+#include "obs/json.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/process.hpp"
@@ -325,30 +325,30 @@ std::uint64_t chaos_matrix_pass() {
 
 void write_json(const std::string& path,
                 const std::vector<BenchResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  std::string doc;
+  obs::json::Writer w(doc, 2);
+  w.begin_object().key("schema").integer(2).key("benchmarks").begin_array();
+  for (const auto& r : results) {
+    w.begin_object();
+    w.key("name").string(r.name);
+    w.key("unit").string(r.unit);
+    w.key("rate").number(r.rate);
+    w.key("wall_s").number(r.wall_s);
+    w.key("items").integer(static_cast<std::int64_t>(r.items));
+    if (r.lower_is_better) w.key("direction").string("lower");
+    if (r.lower_is_better || r.raw) w.key("raw").boolean(true);
+    if (r.tolerance >= 0) w.key("tolerance").number(r.tolerance);
+    if (r.min_value >= 0) {
+      w.key("min").number(r.min_value);
+      if (r.min_cores > 0) w.key("min_cores").integer(r.min_cores);
+    }
+    w.end_object();
+  }
+  w.end_array().end_object();
+  if (!bench::write_file(path, doc + "\n")) {
     std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"schema\": 2,\n  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"unit\": \"%s\", \"rate\": %.6g, "
-                 "\"wall_s\": %.4g, \"items\": %llu",
-                 r.name.c_str(), r.unit.c_str(), r.rate, r.wall_s,
-                 static_cast<unsigned long long>(r.items));
-    if (r.lower_is_better) std::fprintf(f, ", \"direction\": \"lower\"");
-    if (r.lower_is_better || r.raw) std::fprintf(f, ", \"raw\": true");
-    if (r.tolerance >= 0) std::fprintf(f, ", \"tolerance\": %g", r.tolerance);
-    if (r.min_value >= 0) {
-      std::fprintf(f, ", \"min\": %g", r.min_value);
-      if (r.min_cores > 0) std::fprintf(f, ", \"min_cores\": %d", r.min_cores);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
 }
 
 }  // namespace
@@ -361,7 +361,6 @@ int main(int argc, char** argv) {
   bool quick = false;
   bench::Args args("Engine microbenchmark suite; diffed by scripts/bench_gate.sh.");
   args.option("--json", &out, "PATH", "machine-readable results file")
-      .option("--out", &out, "PATH", "legacy alias for --json")
       .option("--repeats", &repeats, "N", "repeats per benchmark (keep best)")
       .option("--min-secs", &min_secs, "S", "minimum wall time per repeat")
       .flag("--quick", &quick, "smoke run: 1 repeat, 0.05s per benchmark");

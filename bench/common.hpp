@@ -147,4 +147,13 @@ class Args {
   const char* positional_metavar_ = "ARG";
 };
 
+/// Writes `bytes` to `path`; false if the file cannot be fully written.
+inline bool write_file(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+                  bytes.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace vnet::bench

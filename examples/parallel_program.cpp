@@ -72,7 +72,7 @@ int main() {
   std::printf("\n%s\n", obs::render_table(snap, "fabric.link").c_str());
   {
     std::ofstream out("parallel_program.trace.json");
-    cl.engine().tracer().write_chrome_trace(out);
+    out << cl.engine().tracer().chrome_trace_json();
   }
   std::printf("trace: parallel_program.trace.json (%zu events)\n",
               cl.engine().tracer().events().size());

@@ -2,7 +2,8 @@
 # Pre-merge check, shared verbatim by local runs and the CI matrix.
 #
 #   scripts/check.sh            # all configs serially (local pre-merge)
-#   scripts/check.sh default    # build + full tests + chaos determinism
+#   scripts/check.sh default    # build + full tests + trace JSON check
+#                               # + chaos determinism
 #   scripts/check.sh asan       # ASan+UBSan build + full tests + chaos run
 #   scripts/check.sh tsan       # TSan build + sharded tests + sharded chaos
 #   scripts/check.sh notrace    # tracing-compiled-out build + obs tests
@@ -28,6 +29,27 @@ do_default() {
 
   echo "== tests (default) =="
   ctest --test-dir build --output-on-failure -j "$JOBS"
+
+  echo "== Chrome trace export (independent JSON parser) =="
+  # json::parse reads back what json::Writer writes, so it cannot catch a
+  # writer bug it shares; Python's json module checks the export instead.
+  local root trace_dir
+  root="$PWD"
+  trace_dir="$(mktemp -d)"
+  (cd "$trace_dir" && "$root/build/examples/parallel_program" >/dev/null)
+  python3 - "$trace_dir/parallel_program.trace.json" <<'PY'
+import json, sys
+
+events = json.load(open(sys.argv[1]))["traceEvents"]
+assert events, "traceEvents is empty"
+for e in events:
+    # Metadata rows (ph "M") only label a pid/tid and carry no timestamp.
+    need = ["ph", "pid", "tid"] + ([] if e.get("ph") == "M" else ["ts"])
+    missing = [k for k in need if k not in e]
+    assert not missing, f"trace event lacks {missing}: {e}"
+print(f"trace export: {len(events)} events with ph/pid/tid, timed ones with ts")
+PY
+  rm -rf "$trace_dir"
 
   echo "== chaos matrix (determinism check) =="
   ./build/bench/bench_chaos_matrix --seeds 2 | tee /tmp/chaos_matrix.1

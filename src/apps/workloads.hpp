@@ -38,9 +38,6 @@ struct ContentionParams {
   /// Collect client-observed round-trip times (slightly more work).
   bool collect_rtt = true;
 
-  /// Print a progress line every simulated millisecond (debugging aid).
-  bool debug_trace = false;
-
   /// Endpoint replacement policy on the server (ablation B; the paper's
   /// system replaces at random).
   host::SegmentDriver::Policy replacement =

@@ -4,12 +4,15 @@
 #include <string>
 #include <vector>
 
-#include "chaos/json.hpp"
 #include "myrinet/fabric.hpp"
+#include "obs/json.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
 namespace vnet::chaos {
+
+/// Plans, verdicts and repros serialize through the obs JSON module.
+namespace json = obs::json;
 
 /// One timed fault (or heal) to apply to a running cluster.
 struct FaultAction {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
-#include "chaos/json.hpp"
 #include "chaos/scenario.hpp"
 
 namespace vnet::chaos {

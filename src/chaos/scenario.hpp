@@ -9,7 +9,6 @@
 
 #include "chaos/campaign.hpp"
 #include "chaos/fault_plan.hpp"
-#include "chaos/json.hpp"
 #include "chaos/ledger.hpp"
 #include "cluster/cluster.hpp"
 #include "obs/watchdog.hpp"

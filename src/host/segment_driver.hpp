@@ -111,7 +111,6 @@ class SegmentDriver {
   // `host.<node>.driver.*` (see obs/metrics.hpp); snapshot that.
 
   int resident_count() const;
-  std::size_t remap_queue_size() const { return remap_queue_.size(); }
 
  private:
   struct Managed {

@@ -1,51 +1,8 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
-#include <ostream>
-#include <sstream>
+#include "obs/json.hpp"
 
 namespace vnet::obs {
-
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_us(std::string& out, std::int64_t ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000 < 0 ? -(ns % 1000)
-                                                     : ns % 1000));
-  out += buf;
-}
-
-}  // namespace
 
 void Tracer::push(TraceEvent e) {
   if (ring_.size() < capacity_) {
@@ -131,60 +88,37 @@ void Tracer::clear() {
 std::string Tracer::chrome_trace_json() const {
   std::string out;
   out.reserve(ring_.size() * 96 + 64);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  char buf[64];
+  json::Writer w(out);
+  const auto us = [](std::int64_t ns) { return static_cast<double>(ns) / 1e3; };
+  w.begin_object().key("traceEvents").begin_array();
   for (const Meta& m : meta_) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ph\":\"M\",\"name\":\"";
-    out += m.thread ? "thread_name" : "process_name";
-    out += "\",\"pid\":";
-    std::snprintf(buf, sizeof(buf), "%d,\"tid\":%d", m.pid, m.tid);
-    out += buf;
-    out += ",\"args\":{\"name\":\"";
-    append_escaped(out, m.name);
-    out += "\"}}";
+    w.begin_object();
+    w.key("ph").string("M");
+    w.key("name").string(m.thread ? "thread_name" : "process_name");
+    w.key("pid").integer(m.pid);
+    w.key("tid").integer(m.tid);
+    w.key("args").begin_object().key("name").string(m.name).end_object();
+    w.end_object();
   }
   for_each_event([&](const TraceEvent& e) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ph\":\"";
-    out += e.ph;
-    out += "\",\"name\":\"";
-    append_escaped(out, e.name);
-    out += "\",\"cat\":\"";
-    append_escaped(out, e.cat);
-    out += "\",\"ts\":";
-    append_us(out, e.ts_ns);
-    if (e.ph == 'X') {
-      out += ",\"dur\":";
-      append_us(out, e.dur_ns);
-    }
-    if (e.ph == 'i') out += ",\"s\":\"t\"";
-    std::snprintf(buf, sizeof(buf), ",\"pid\":%d,\"tid\":%d", e.pid, e.tid);
-    out += buf;
+    w.begin_object();
+    w.key("ph").string(std::string_view(&e.ph, 1));
+    w.key("name").string(e.name);
+    w.key("cat").string(e.cat);
+    w.key("ts").number(us(e.ts_ns));
+    if (e.ph == 'X') w.key("dur").number(us(e.dur_ns));
+    if (e.ph == 'i') w.key("s").string("t");
+    w.key("pid").integer(e.pid);
+    w.key("tid").integer(e.tid);
     if (!e.args.empty()) {
-      out += ",\"args\":{";
-      for (std::size_t i = 0; i < e.args.size(); ++i) {
-        if (i > 0) out += ',';
-        out += '"';
-        append_escaped(out, e.args[i].key);
-        out += "\":";
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(e.args[i].value));
-        out += buf;
-      }
-      out += '}';
+      w.key("args").begin_object();
+      for (const TraceArg& a : e.args) w.key(a.key).integer(a.value);
+      w.end_object();
     }
-    out += '}';
+    w.end_object();
   });
-  out += "],\"displayTimeUnit\":\"ns\"}";
+  w.end_array().key("displayTimeUnit").string("ns").end_object();
   return out;
-}
-
-void Tracer::write_chrome_trace(std::ostream& os) const {
-  os << chrome_trace_json();
 }
 
 }  // namespace vnet::obs

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -80,8 +79,8 @@ class Tracer {
   std::uint64_t dropped() const { return dropped_; }
   void clear();
 
-  /// Chrome trace_event JSON ("traceEvents" array form, ts/dur in us).
-  void write_chrome_trace(std::ostream& os) const;
+  /// Chrome trace_event JSON ("traceEvents" array form, ts/dur in us),
+  /// streamed through obs::json::Writer.
   std::string chrome_trace_json() const;
 
  private:

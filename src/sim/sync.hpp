@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstddef>
 #include <deque>
@@ -98,7 +99,7 @@ class CondVar {
         state = std::allocate_shared<WaitState>(
             detail::WaitStateAlloc<WaitState>{});
         state->handle = h;
-        cv.waiters_.push_back(state);
+        cv.enqueue(state);
       }
       void await_resume() const noexcept {}
     };
@@ -119,7 +120,7 @@ class CondVar {
         state = std::allocate_shared<WaitState>(
             detail::WaitStateAlloc<WaitState>{});
         state->handle = h;
-        cv.waiters_.push_back(state);
+        cv.enqueue(state);
         Engine& eng = *cv.engine_;
         state->timer = eng.after(d, [s = state, &eng] {
           if (s->done) return;  // already notified
@@ -179,8 +180,23 @@ class CondVar {
     bool notified = false;
   };
 
+  // The timeout closure cannot erase its own stale state (the CondVar may
+  // be destroyed first), so enqueue drops stale states once the deque
+  // doubles past the live count of the last sweep: storage stays
+  // O(live waiters) at amortized O(1) per wait, even with no notify.
+  static constexpr std::size_t kMinCompactSize = 16;
+
+  void enqueue(std::shared_ptr<WaitState> s) {
+    if (waiters_.size() >= compact_at_) {
+      std::erase_if(waiters_, [](const auto& w) { return w->done; });
+      compact_at_ = std::max(kMinCompactSize, 2 * waiters_.size());
+    }
+    waiters_.push_back(std::move(s));
+  }
+
   Engine* engine_;
   std::deque<std::shared_ptr<WaitState>> waiters_;
+  std::size_t compact_at_ = kMinCompactSize;
 };
 
 /// One-shot latch: processes wait until open() is called once; waits after

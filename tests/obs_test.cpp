@@ -1,12 +1,11 @@
 // Unit tests for the vnet::obs observability layer: metric registration /
 // snapshot / diff semantics, histogram quantiles, table rendering, trace
-// export (round-tripped through a JSON parser), the compile-out guarantee
+// export (round-tripped through json::parse), the compile-out guarantee
 // of the VNET_TRACE_* macros, and whole-stack determinism (same seed =>
 // identical snapshots and traces).
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -17,6 +16,7 @@
 #include "am/endpoint.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/config.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -297,140 +297,14 @@ TEST(Metrics, RenderTablePivotsRowsAndColumns) {
   EXPECT_NE(all.find("idle"), std::string::npos);
 }
 
-// --------------------------------------------------- minimal JSON parser
-//
-// Enough of RFC 8259 to round-trip the exporter's output: validates the
-// whole document and records the size of the top-level "traceEvents" array.
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string s) : s_(std::move(s)) {}
-
-  bool parse() {
-    skip_ws();
-    if (!value(/*depth=*/0)) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
-  int trace_events() const { return trace_events_; }
-
- private:
-  bool value(int depth) {
-    if (depth > 64 || pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{':
-        return object(depth);
-      case '[':
-        return array(depth, nullptr);
-      case '"':
-        return string(nullptr);
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  bool object(int depth) {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') return ++pos_, true;
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!string(&key)) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (depth == 0 && key == "traceEvents" && peek() == '[') {
-        int n = 0;
-        if (!array(depth + 1, &n)) return false;
-        trace_events_ = n;
-      } else {
-        if (!value(depth + 1)) return false;
-      }
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') return ++pos_, true;
-      return false;
-    }
-  }
-
-  bool array(int depth, int* count) {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') return ++pos_, true;
-    for (;;) {
-      skip_ws();
-      if (!value(depth + 1)) return false;
-      if (count != nullptr) ++*count;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') return ++pos_, true;
-      return false;
-    }
-  }
-
-  bool string(std::string* out) {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        if (pos_ + 1 >= s_.size()) return false;
-        pos_ += 2;
-        continue;
-      }
-      if (out != nullptr) out->push_back(s_[pos_]);
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(const char* lit) {
-    const std::string_view want(lit);
-    if (s_.compare(pos_, want.size(), want) != 0) return false;
-    pos_ += want.size();
-    return true;
-  }
-
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string s_;
-  std::size_t pos_ = 0;
-  int trace_events_ = 0;
-};
+// Parses a Chrome trace export and returns its "traceEvents" array; a
+// document that fails to parse fails the calling test.
+json::Value::Array trace_events(const std::string& doc) {
+  json::Value v;
+  std::string error;
+  EXPECT_TRUE(json::parse(doc, &v, &error)) << error << "\n" << doc;
+  return v["traceEvents"].as_array();
+}
 
 // -------------------------------------------------------------- tracer
 
@@ -452,13 +326,16 @@ TEST(Trace, ExportRoundTripsThroughJsonParse) {
   EXPECT_EQ(tr.events()[1].ph, 'X');
   EXPECT_EQ(tr.events()[1].dur_ns, 3250);
 
-  const std::string json = tr.chrome_trace_json();
-  JsonParser p(json);
-  ASSERT_TRUE(p.parse()) << json;
+  const json::Value::Array evs = trace_events(tr.chrome_trace_json());
   // 2 metadata events (process_name, thread_name) + 2 recorded events.
-  EXPECT_EQ(p.trace_events(), 4);
+  ASSERT_EQ(evs.size(), 4u);
+  EXPECT_EQ(evs[1]["args"]["name"].as_string(), "wire \"rx\"\n");
   // Sub-microsecond times survive as fractional microseconds.
-  EXPECT_NE(json.find("1.500"), std::string::npos);
+  EXPECT_EQ(evs[2]["ph"].as_string(), "i");
+  EXPECT_EQ(evs[2]["ts"].as_number(), 1.5);
+  EXPECT_EQ(evs[2]["args"]["frame"].as_number(), -1.0);
+  EXPECT_EQ(evs[3]["ph"].as_string(), "X");
+  EXPECT_EQ(evs[3]["dur"].as_number(), 3.25);
 }
 
 TEST(Trace, RingOverwritesOldestAndCountsDrops) {
@@ -482,9 +359,7 @@ TEST(Trace, RingOverwritesOldestAndCountsDrops) {
     EXPECT_EQ(evs[i].ts_ns, static_cast<std::int64_t>(6 + i));
   }
   // The export of a wrapped ring is still well-formed JSON.
-  JsonParser p(tr.chrome_trace_json());
-  EXPECT_TRUE(p.parse());
-  EXPECT_EQ(p.trace_events(), 4);
+  EXPECT_EQ(trace_events(tr.chrome_trace_json()).size(), 4u);
 
   // clear() empties the buffer but keeps the lifetime drop counter.
   tr.clear();
@@ -515,9 +390,7 @@ TEST(Trace, DisabledTracerRecordsNothing) {
   tr.instant("cat", "x");
   tr.complete("cat", "y", 0);
   EXPECT_TRUE(tr.events().empty());
-  JsonParser p(tr.chrome_trace_json());
-  EXPECT_TRUE(p.parse());
-  EXPECT_EQ(p.trace_events(), 0);
+  EXPECT_TRUE(trace_events(tr.chrome_trace_json()).empty());
 }
 
 // The compile-out guarantee: with VNET_TRACING=OFF the macros expand to
@@ -674,10 +547,9 @@ TEST(ObsIntegration, SameSeedRunsProduceIdenticalSnapshotsAndTraces) {
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.trace_json, b.trace_json);
 
-  JsonParser p(a.trace_json);
-  ASSERT_TRUE(p.parse());
+  [[maybe_unused]] const json::Value::Array evs = trace_events(a.trace_json);
 #if VNET_OBS_TRACING
-  EXPECT_GT(p.trace_events(), 0);
+  EXPECT_FALSE(evs.empty());
 #endif
 }
 

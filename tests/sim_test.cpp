@@ -423,6 +423,33 @@ TEST(CondVar, TimedOutWaiterDoesNotConsumeNotify) {
   EXPECT_TRUE(second);   // got the notify despite being second in line
 }
 
+TEST(CondVar, LiveWaitersKeepFifoOrderAcrossCompaction) {
+  Engine eng;
+  CondVar cv(eng);
+  std::vector<int> order;
+  const auto waiter = [](CondVar& c, std::vector<int>& ord,
+                         int id) -> Process {
+    co_await c.wait();
+    ord.push_back(id);
+  };
+  eng.spawn(waiter(cv, order, 0));
+  // Enough timed-out entries to force several compactions between the
+  // live waiters.
+  eng.spawn([](CondVar& c) -> Process {
+    for (int i = 0; i < 100; ++i) (void)co_await c.wait_for(1 * us);
+  }(cv));
+  eng.run();
+  eng.spawn(waiter(cv, order, 1));
+  eng.spawn(waiter(cv, order, 2));
+  eng.run();
+  EXPECT_EQ(cv.waiter_count(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    cv.notify_one();
+    eng.run();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
 // ------------------------------------------------------------------ Gate
 
 TEST(Gate, WaitersReleaseOnOpenAndLateWaitsPass) {
